@@ -531,7 +531,12 @@ def cmd_validate(args) -> int:
         pipeline.build(resume=args.resume)
         _print_cache_status(pipeline)
         _print_resilience_status(pipeline.artifacts.enumeration)
-        config = CoreConfig(mem_latency=0)
+        # The branch-extended vectors carry real beq/bne instructions,
+        # which only the squashing-branch core executes as modeled.
+        config = CoreConfig(
+            mem_latency=0,
+            squashing_branches=pipeline.model_config.model_branches,
+        )
         if args.bug:
             for bug_id in args.bug:
                 if bug_id not in BUGS:

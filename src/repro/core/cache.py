@@ -133,6 +133,11 @@ PHASES = ("model", "graph", "tours", "traces")
 #: - ``traces``: the vector generator plus ``pp`` (ISA instruction
 #:   synthesis and the stimulus-queue layout live under ``pp/``).
 #:
+#: ``pp/rtl`` is the exception inside ``pp``: only the modules named in
+#: :data:`RTL_PHASE_INPUTS` feed an artifact, the rest is the RTL
+#: simulator, which runs only at comparison time (see
+#: :func:`_phase_source`).
+#:
 #: ``incremental`` appears in every phase that the incremental layer can
 #: *produce* (graph/tours/traces): a bug fix to the replay or splice code
 #: must invalidate entries that code may have written.  Absent everywhere:
@@ -146,11 +151,29 @@ PHASE_MODULES: Dict[str, tuple] = {
 }
 
 
+#: The only ``pp/rtl`` modules an artifact phase imports: ``memory``
+#: (``LINE_WORDS`` sizes the vector address pool) and ``stimulus``
+#: (``QueueStimulus`` is the trace layout).
+RTL_PHASE_INPUTS = ("memory.py", "stimulus.py")
+
+
+def _phase_source(relative: Path) -> bool:
+    """Whether a source file feeds a phase digest.
+
+    Everything under a phase's subtrees does, except the RTL simulator:
+    an edit to ``pp/rtl/core.py`` or a cache unit -- the paper's
+    fix-then-revalidate loop -- changes no graph, tour or trace, so it
+    must not force a cold rebuild of them.
+    """
+    return relative.parent != Path("pp", "rtl") or relative.name in RTL_PHASE_INPUTS
+
+
 def _digest_tree(package_root: Path, subdirs: Optional[tuple] = None) -> str:
     """SHA-256 over relative path + contents of ``.py`` files under root.
 
-    ``subdirs`` restricts the walk to the named subtrees (a *phase* digest);
-    ``None`` hashes the whole package (the monolithic :func:`code_version`).
+    ``subdirs`` restricts the walk to the named subtrees (a *phase* digest,
+    filtered by :func:`_phase_source`); ``None`` hashes the whole package
+    (the monolithic :func:`code_version`).
     """
     digest = hashlib.sha256()
     if subdirs is None:
@@ -158,7 +181,10 @@ def _digest_tree(package_root: Path, subdirs: Optional[tuple] = None) -> str:
     else:
         sources = []
         for sub in subdirs:
-            sources.extend((package_root / sub).rglob("*.py"))
+            sources.extend(
+                source for source in (package_root / sub).rglob("*.py")
+                if _phase_source(source.relative_to(package_root))
+            )
         sources.sort()
     for source in sources:
         digest.update(str(source.relative_to(package_root)).encode())

@@ -39,6 +39,7 @@ from repro.incremental.splice import (
     tour_clean_flags,
 )
 from repro.obs.observer import Observer, resolve
+from repro.pp.branches import BranchVectorGenerator
 from repro.pp.fsm_model import PPModelConfig, pp_control_model
 from repro.pp.rtl.core import CoreConfig
 from repro.resilience import Budget, CheckpointConfig, RetryPolicy
@@ -290,6 +291,16 @@ class ValidationPipeline:
         manifest.update(self._build_flags())
         manifest.update(extra)
         return manifest
+
+    def _vector_generator(self, graph, memo: TransitionEventMemo) -> VectorGenerator:
+        """The generator matching the control model: the branch-extended
+        model's ``BR`` fetches need :class:`BranchVectorGenerator`."""
+        cls = (
+            BranchVectorGenerator
+            if self.model_config.model_branches
+            else VectorGenerator
+        )
+        return cls(self.control, graph, seed=self.seed, memo=memo)
 
     def _record_phase(self, phase: str, hit: bool, obs: Observer) -> None:
         self.phase_hits[phase] = hit
@@ -560,9 +571,7 @@ class ValidationPipeline:
             if cache is not None and "traces" not in self.phase_hits:
                 self._record_phase("traces", False, obs)
             with obs.span("phase.vectors", jobs=jobs or 0):
-                traces = VectorGenerator(
-                    self.control, graph, seed=self.seed, memo=memo
-                ).generate(
+                traces = self._vector_generator(graph, memo).generate(
                     list(tours), obs=obs, jobs=jobs or (os.cpu_count() or 1),
                     pool=self.worker_pool(jobs),
                 )
@@ -854,9 +863,7 @@ class ValidationPipeline:
             if traces_entry is not None:
                 old_traces = unpack_trace_set(traces_entry["traces"])
                 tour_clean = tour_clean_flags(graph, list(tours), clean)
-                generator = VectorGenerator(
-                    self.control, graph, seed=self.seed, memo=memo
-                )
+                generator = self._vector_generator(graph, memo)
                 with obs.span("phase.incremental_splice"):
                     spliced, reused, regenerated = splice_traces(
                         generator, list(tours), old_traces.traces, tour_clean

@@ -15,6 +15,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
+from repro.enumeration import make_worker_pool
 from repro.enumeration.pool import WorkerPool
 from repro.obs.observer import Observer, resolve
 from repro.pp.isa import Instruction
@@ -126,24 +127,9 @@ def run_vector_trace(
     return run_trace(trace.program, trace.stimulus(), config=config, **kwargs)
 
 
-#: Config inherited/pickled into trace-simulation workers.
+#: Config fork-inherited by trace-simulation workers (published by
+#: :func:`_run_with_pool` before it declares the pool context).
 _TRACE_WORKER_CONFIG: Optional[CoreConfig] = None
-
-
-def _init_trace_worker(config: CoreConfig) -> None:
-    global _TRACE_WORKER_CONFIG
-    _TRACE_WORKER_CONFIG = config
-
-
-def _run_trace_job(trace: TestVectorTrace) -> ComparisonResult:
-    return run_vector_trace(trace, config=_TRACE_WORKER_CONFIG)
-
-
-def _run_indexed_trace_job(
-    payload: Tuple[int, TestVectorTrace],
-) -> Tuple[int, ComparisonResult]:
-    index, trace = payload
-    return index, run_vector_trace(trace, config=_TRACE_WORKER_CONFIG)
 
 
 def _trace_chunk_job(
@@ -151,7 +137,10 @@ def _trace_chunk_job(
 ) -> List[Tuple[int, ComparisonResult]]:
     """Pool task: one chunk of indexed traces, config fork-inherited
     through :data:`_TRACE_WORKER_CONFIG` (pure -- safe to retry)."""
-    return [_run_indexed_trace_job(item) for item in payload]
+    return [
+        (index, run_vector_trace(trace, config=_TRACE_WORKER_CONFIG))
+        for index, trace in payload
+    ]
 
 
 def _record_result(obs: Observer, index: int, result: ComparisonResult) -> None:
@@ -199,11 +188,13 @@ def run_vector_traces(
 
     ``pool`` accepts the pipeline's persistent
     :class:`~repro.enumeration.pool.WorkerPool`: workers then come from
-    (or are re-forked into) the shared pool -- the config is published
-    for fork inheritance instead of pickled per spawn -- and dead-worker
-    recovery applies (chunks are pure, so retries are safe).  The
-    sequential contract above is unchanged; a stop-on-divergence cut
-    retires the worker generation exactly like ``pool.terminate()`` did.
+    (or are re-forked into) the shared pool.  Without one, ``jobs>1``
+    builds a transient pool of the same kind and shuts it down before
+    returning.  Either way the config is published for fork inheritance
+    instead of pickled per spawn, dead-worker recovery applies (chunks
+    are pure, so retries are safe), and a stop-on-divergence cut retires
+    the worker generation and drops the results of in-flight later
+    traces.
     """
     obs = resolve(obs)
     started = time.perf_counter()
@@ -244,54 +235,18 @@ def run_vector_traces(
     order = sorted(
         range(len(traces)), key=lambda i: (-traces[i].edges_traversed, i)
     )
-    if pool is not None:
+    # No pipeline pool to borrow: a transient one, gone before we return.
+    transient = pool is None
+    if transient:
+        pool = make_worker_pool(workers, obs=obs)
+    try:
         return _run_with_pool(
             traces, config, pool, order, chunksize,
             stop_on_divergence, obs, started,
         )
-    ctx = multiprocessing.get_context("fork")
-    pool = ctx.Pool(
-        processes=workers,
-        initializer=_init_trace_worker,
-        initargs=(config,),
-    )
-    # Completions arrive out of order; ``pending`` holds them until every
-    # earlier trace has been emitted, so results/metrics/stop decisions
-    # happen in exactly the sequential order.
-    pending = {}
-    next_index = 0
-    stopped = False
-    try:
-        for index, result in pool.imap_unordered(
-            _run_indexed_trace_job,
-            [(i, traces[i]) for i in order],
-            chunksize=chunksize,
-        ):
-            pending[index] = result
-            while not stopped and next_index in pending:
-                emitted = pending.pop(next_index)
-                results.append(emitted)
-                _record_result(obs, next_index, emitted)
-                obs.heartbeat("compare", traces=next_index + 1,
-                              total=len(traces), workers=workers,
-                              divergences=len(diverging) + bool(emitted.diverged))
-                if emitted.diverged:
-                    diverging.append(next_index)
-                    if stop_on_divergence:
-                        stopped = True  # in-flight later traces are dropped
-                next_index += 1
-            if stopped:
-                pool.terminate()
-                break
-        else:
-            pool.close()
-        pool.join()
-    except BaseException:
-        pool.terminate()
-        pool.join()
-        raise
-    obs.observe("compare.seconds", time.perf_counter() - started)
-    return results, diverging
+    finally:
+        if transient:
+            pool.shutdown()
 
 
 def _run_with_pool(
@@ -304,7 +259,7 @@ def _run_with_pool(
     obs: Observer,
     started: float,
 ) -> Tuple[List[ComparisonResult], List[int]]:
-    """The persistent-pool comparison path (same contract, shared workers)."""
+    """The parallel comparison path (same contract as the sequential one)."""
     global _TRACE_WORKER_CONFIG
     # Publish for fork inheritance BEFORE declaring the context: a tag
     # change re-forks workers that inherit exactly this config; an equal
@@ -346,8 +301,7 @@ def _run_with_pool(
     finally:
         tasks.close()
         if stopped:
-            # Drop the in-flight work exactly like the per-call pool's
-            # terminate() used to; the next dispatch re-forks lazily.
+            # Drop the in-flight work; the next dispatch re-forks lazily.
             pool.retire()
     obs.observe("compare.seconds", time.perf_counter() - started)
     return results, diverging

@@ -12,8 +12,8 @@ lives on -- was invisible.  This module is the shared substrate:
   kernel), a git SHA and a UTC timestamp.
 - **A registry** of runnable benchmarks (:func:`register_benchmark`);
   ``repro bench`` discovers and runs them.  The built-ins at the bottom
-  of this module cover the pipeline's four hot phases at a CI-friendly
-  scale.
+  of this module cover the pipeline's hot phases, comparison simulation
+  included, at a CI-friendly scale.
 - **A history timeline**: every run appends one JSONL line to
   ``BENCH_history.jsonl`` keyed by git SHA -- the same file the legacy
   ``bench_kernel.py`` / ``bench_back_half.py`` scripts now feed too.
@@ -631,6 +631,64 @@ def _bench_vectors_warm() -> BenchResult:
                 traces.total_instructions / wall, "instr/s",
                 higher_is_better=True,
             ),
+        },
+    )
+
+
+@register_benchmark("compare.suite")
+def _bench_compare_suite() -> BenchResult:
+    """Comparison simulation: the shared trace set on the clean core.
+
+    ``seconds`` times the real path (``run_vector_traces`` at jobs=1);
+    ``rtl_s``/``spec_s`` come from a replay that runs the same traces
+    through :class:`PPCore` and :class:`SpecSimulator` separately, so the
+    history shows which model an RTL-side change actually moved.
+    """
+    from repro.harness.compare import DEFAULT_INBOX, run_vector_traces
+    from repro.pp.rtl.core import CoreConfig, PPCore
+    from repro.pp.spec import SpecSimulator
+    from repro.vectors import VectorGenerator
+
+    shared = _shared_pipeline()
+    if "traces" not in shared:
+        shared["traces"] = list(VectorGenerator(
+            shared["control"], shared["graph"], seed=0, memo=shared["memo"]
+        ).generate(list(shared["tours"])))
+    traces = shared["traces"]
+    config = CoreConfig(mem_latency=0)
+
+    wall, (results, _) = _best_of(
+        lambda: run_vector_traces(traces, config=config, jobs=1,
+                                  stop_on_divergence=False)
+    )
+    if any(r.diverged for r in results):
+        raise RuntimeError("clean core diverged in the compare.suite benchmark")
+    cycles = sum(r.cycles for r in results)
+
+    def split():
+        rtl_s = spec_s = 0.0
+        for trace in traces:
+            started = time.perf_counter()
+            PPCore(trace.program, config, trace.stimulus(),
+                   inbox_tasks=list(DEFAULT_INBOX)).run(max_cycles=500_000)
+            simulated = time.perf_counter()
+            SpecSimulator(inbox=list(DEFAULT_INBOX)).run(trace.program)
+            rtl_s += simulated - started
+            spec_s += time.perf_counter() - simulated
+        return rtl_s, spec_s
+
+    rtl_s, spec_s = min((split() for _ in range(_REPEATS)), key=sum)
+    return BenchResult(
+        name="compare.suite",
+        context=_context(family="compare", jobs=1, seed=0,
+                         traces=len(traces), cycles=cycles),
+        metrics={
+            "seconds": metric(wall),
+            "cycles_per_s": metric(
+                cycles / wall, "cycles/s", higher_is_better=True
+            ),
+            "rtl_s": metric(rtl_s),
+            "spec_s": metric(spec_s),
         },
     )
 

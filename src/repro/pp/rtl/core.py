@@ -12,8 +12,8 @@ switch turns a correct design into each of the documented faulty ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.pp.isa import (
     Instruction,
@@ -21,11 +21,11 @@ from repro.pp.isa import (
     Opcode,
     WORD_MASK,
 )
-from repro.pp.rtl.dcache import DCache, DRefillState
+from repro.pp.rtl.dcache import DCache, DRefillState, SpillState
 from repro.pp.rtl.icache import ICache, IRefillState
 from repro.pp.rtl.inbox import Inbox
 from repro.pp.rtl.memctrl import MemoryController, Requester
-from repro.pp.rtl.memory import LINE_WORDS, MainMemory, line_base
+from repro.pp.rtl.memory import LINE_BYTES, LINE_WORDS, MainMemory
 from repro.pp.rtl.outbox import Outbox
 from repro.pp.rtl.regfile import RegisterFile
 from repro.pp.rtl.stimulus import NaturalStimulus, StimulusSource
@@ -77,30 +77,114 @@ class TraceEvent:
     detail: str = ""
 
 
-@dataclass
+def _signed(value: int) -> int:
+    value &= WORD_MASK
+    return value - (1 << 32) if value >= (1 << 31) else value
+
+
+#: EX-stage result of each ALU opcode, as ``f(regs[rs], regs[rt], imm)``.
+_ALU_OPS: Dict[Opcode, Callable[[int, int, int], int]] = {
+    Opcode.ADD: lambda a, b, imm: (a + b) & WORD_MASK,
+    Opcode.SUB: lambda a, b, imm: (a - b) & WORD_MASK,
+    Opcode.AND: lambda a, b, imm: a & b,
+    Opcode.OR: lambda a, b, imm: a | b,
+    Opcode.XOR: lambda a, b, imm: a ^ b,
+    Opcode.SLL: lambda a, b, imm: (a << (b & 31)) & WORD_MASK,
+    Opcode.SRL: lambda a, b, imm: (a & WORD_MASK) >> (b & 31),
+    Opcode.SLT: lambda a, b, imm: int(_signed(a) < _signed(b)),
+    Opcode.ADDI: lambda a, b, imm: (a + imm) & WORD_MASK,
+    Opcode.ANDI: lambda a, b, imm: a & (imm & 0xFFFF),
+    Opcode.ORI: lambda a, b, imm: a | (imm & 0xFFFF),
+    Opcode.XORI: lambda a, b, imm: a ^ (imm & 0xFFFF),
+    Opcode.LUI: lambda a, b, imm: ((imm & 0xFFFF) << 16) & WORD_MASK,
+}
+
+
+def _sources(ins: Instruction, klass: InstructionClass) -> Tuple[int, ...]:
+    """Registers ``ins`` reads (the RAW-hazard and pairing check)."""
+    op = ins.opcode
+    if op is Opcode.NOP or op is Opcode.LUI or op is Opcode.J:
+        return ()
+    if klass is InstructionClass.SWITCH:
+        return ()
+    if klass is InstructionClass.SEND:
+        return (ins.rd,)
+    if klass is InstructionClass.SD:
+        return (ins.rs, ins.rd)
+    if op in (Opcode.BEQ, Opcode.BNE):
+        return (ins.rs, ins.rd)
+    if op in (Opcode.ADD, Opcode.SUB, Opcode.AND, Opcode.OR, Opcode.XOR,
+              Opcode.SLL, Opcode.SRL, Opcode.SLT):
+        return (ins.rs, ins.rt)
+    return (ins.rs,)
+
+
+def _dest(ins: Instruction, klass: InstructionClass) -> Optional[int]:
+    """Register ``ins`` writes at WB, if any."""
+    if ins.opcode is Opcode.NOP:
+        return None
+    if klass in (InstructionClass.SD, InstructionClass.SEND):
+        return None
+    if ins.opcode in BRANCH_OPCODES:
+        return None
+    return ins.rd
+
+
+def _decode_or_nop(word: int) -> Instruction:
+    """Hardware decodes whatever bits arrive; unknown encodings execute as
+    no-ops (there are no illegal-instruction exceptions in the PP)."""
+    try:
+        return Instruction.decode(word)
+    except ValueError:
+        return Instruction(Opcode.NOP)
+
+
+class Decoded:
+    """One instruction word decoded once: everything the pipeline asks
+    of an instruction, precomputed for every fetch of the same word."""
+
+    __slots__ = ("instr", "opcode", "klass", "is_mem", "is_branch",
+                 "sources", "dest", "alu")
+
+    def __init__(self, word: int):
+        ins = _decode_or_nop(word)
+        klass = ins.klass
+        self.instr = ins
+        self.opcode = ins.opcode
+        self.klass = klass
+        self.is_mem = klass in (InstructionClass.LD, InstructionClass.SD)
+        self.is_branch = ins.opcode in BRANCH_OPCODES
+        self.sources = _sources(ins, klass)
+        self.dest = _dest(ins, klass)
+        #: ``None`` for everything that computes no result in EX (memory
+        #: ops compute an address instead).
+        self.alu = None if self.is_mem else _ALU_OPS.get(ins.opcode)
+
+
 class MicroOp:
-    """One instruction in flight."""
+    """One instruction in flight: its decode entry's static fields plus
+    the operand and result latches the stages fill in."""
 
-    instr: Instruction
-    pc: int
-    src1: int = 0        # regs[rs]
-    src2: int = 0        # regs[rt]
-    store_val: int = 0   # regs[rd] for SW / SEND
-    addr: int = 0        # effective address (EX)
-    result: Optional[int] = None
-    writes_reg: Optional[int] = None
+    __slots__ = ("instr", "opcode", "klass", "is_mem", "is_branch",
+                 "sources", "dest", "alu", "pc", "src1", "src2",
+                 "store_val", "addr", "result", "writes_reg")
 
-    @property
-    def klass(self) -> InstructionClass:
-        return self.instr.klass
-
-    @property
-    def is_mem(self) -> bool:
-        return self.klass in (InstructionClass.LD, InstructionClass.SD)
-
-    @property
-    def is_branch(self) -> bool:
-        return self.instr.opcode in BRANCH_OPCODES
+    def __init__(self, decoded: Decoded, pc: int):
+        self.instr = decoded.instr
+        self.opcode = decoded.opcode
+        self.klass = decoded.klass
+        self.is_mem = decoded.is_mem
+        self.is_branch = decoded.is_branch
+        self.sources = decoded.sources
+        self.dest = decoded.dest
+        self.alu = decoded.alu
+        self.pc = pc
+        self.src1 = 0        # regs[rs]
+        self.src2 = 0        # regs[rt]
+        self.store_val = 0   # regs[rd] for SW / SEND
+        self.addr = 0        # effective address (EX)
+        self.result: Optional[int] = None
+        self.writes_reg: Optional[int] = None  # ``dest``, latched at RD
 
 
 Bundle = List[MicroOp]
@@ -134,16 +218,24 @@ class PPCore:
         self.config = config or CoreConfig()
         self.stimulus = stimulus or NaturalStimulus()
         self.program = list(program)
+        self._program_len = len(self.program)
+        words = [ins.encode() for ins in self.program]
         self.memory = MainMemory()
-        self.memory.load_program(
-            self.config.text_base, [ins.encode() for ins in self.program]
-        )
+        self.memory.load_program(self.config.text_base, words)
         self.memctrl = MemoryController(self.memory, latency=self.config.mem_latency)
         self.icache = ICache(self.memory, self.memctrl, num_sets=self.config.icache_sets)
         self.dcache = DCache(self.memory, self.memctrl, num_sets=self.config.dcache_sets)
         self.regfile = RegisterFile()
         self.inbox = Inbox(inbox_tasks)
         self.outbox = Outbox()
+
+        # Predecode table, keyed by the *encoded* word: fetch sees bits,
+        # not Instruction objects (encoding drops an R-format imm), and
+        # words that were never in the program -- Bug #1's clobbered line,
+        # forced-hit reads -- join the table on first fetch.
+        self._decoded: Dict[int, Decoded] = {}
+        for word in words:
+            self._decode(word)
 
         self.pc = 0
         self.cycle = 0
@@ -168,19 +260,27 @@ class PPCore:
         self._store_wait: Optional[Tuple[int, int]] = None
         self._branch_pending = False
 
-        # Bug state.
-        self._bugs = self.config.bugs
+        # Bug state: one flag per Table 2.1 bug.
+        bugs = self.config.bugs
+        self._bug1, self._bug2, self._bug3, self._bug4, self._bug5, self._bug6 = (
+            bug_id in bugs for bug_id in range(1, 7)
+        )
         self._bug5_watch: Optional[Dict] = None
         self._bug4_drop_fetch = False
         self._bug1_foreign_words: Optional[List[int]] = None
 
+        # Every _trace call site with a formatted detail checks this first,
+        # so an untraced run builds no strings.
         self._trace_enabled = trace
         self.events: List[TraceEvent] = []
 
     # -- helpers ------------------------------------------------------------
 
-    def _bug(self, bug_id: int) -> bool:
-        return bug_id in self._bugs
+    def _decode(self, word: int) -> Decoded:
+        entry = self._decoded.get(word)
+        if entry is None:
+            entry = self._decoded[word] = Decoded(word)
+        return entry
 
     def _trace(self, name: str, detail: str = "") -> None:
         if self._trace_enabled:
@@ -193,7 +293,7 @@ class PPCore:
     @property
     def halted(self) -> bool:
         return (
-            self.pc >= len(self.program)
+            self.pc >= self._program_len
             and self.rd_bundle is None
             and self.ex_bundle is None
             and self.mem_bundle is None
@@ -209,39 +309,52 @@ class PPCore:
     def step(self) -> None:
         """Advance the whole machine one clock cycle."""
         self._conflict_drained_this_cycle = False
+        icache = self.icache
+        dcache = self.dcache
+        memctrl = self.memctrl
 
         # Unit clocks first: refill FSMs issue requests, the memory
-        # controller makes progress and returns word deliveries.
-        self.icache.tick()
-        self.dcache.tick()
-        self.memctrl.pace_override = self.stimulus.mem_pace() if self.memctrl.busy else None
-        deliveries = self.memctrl.tick()
+        # controller makes progress and returns word deliveries.  Each
+        # tick is skipped in the states where it does nothing.
+        if icache.state is IRefillState.REQ:
+            icache.tick()
+        if (
+            dcache.refill_state is DRefillState.SPILL
+            or dcache.refill_state is DRefillState.REQ
+            or dcache.spill_state is SpillState.HELD
+        ):
+            dcache.tick()
         d_critical: Optional[int] = None
         d_fill_done = False
-        for delivery in deliveries:
-            if delivery.requester is Requester.ICACHE:
-                self.icache.accept(delivery)
-                if delivery.is_last and self._bug1_foreign_words is not None:
-                    # Bug #1: the unqualified interface signal already let a
-                    # D-side transfer clobber the I-line buffer; the wrong
-                    # words are installed.
-                    self.icache.corrupt_line_buffer(self._bug1_foreign_words)
-                    self._trace("bug1_corrupt_iline")
-                    self._bug1_foreign_words = None
-            elif delivery.requester in (Requester.DCACHE, Requester.SPILL_WB):
+        if memctrl.busy:
+            memctrl.pace_override = self.stimulus.mem_pace()
+            for delivery in memctrl.tick():
+                requester = delivery.requester
+                if requester is Requester.ICACHE:
+                    icache.accept(delivery)
+                    if delivery.is_last and self._bug1_foreign_words is not None:
+                        # Bug #1: the unqualified interface signal already
+                        # let a D-side transfer clobber the I-line buffer;
+                        # the wrong words are installed.
+                        icache.corrupt_line_buffer(self._bug1_foreign_words)
+                        self._trace("bug1_corrupt_iline")
+                        self._bug1_foreign_words = None
+                    continue
                 if (
-                    self._bug(1)
-                    and delivery.requester is Requester.DCACHE
-                    and self.icache.state in (IRefillState.REQ, IRefillState.FILL)
+                    self._bug1
+                    and requester is Requester.DCACHE
+                    and icache.state in (IRefillState.REQ, IRefillState.FILL)
                 ):
                     foreign = self._bug1_foreign_words or [0] * LINE_WORDS
                     foreign[delivery.word_offset] = delivery.value
                     self._bug1_foreign_words = foreign
-                value = self.dcache.accept(delivery)
+                value = dcache.accept(delivery)
                 if value is not None:
                     d_critical = value
-                if delivery.requester is Requester.DCACHE and delivery.is_last:
+                if requester is Requester.DCACHE and delivery.is_last:
                     d_fill_done = True
+        else:
+            memctrl.pace_override = None
 
         # Bug #5 window: external stalls during the rest-of-line fill decide
         # whether the corrective Membus rewrite happens.
@@ -249,22 +362,32 @@ class PPCore:
             self._bug5_watch["stall_seen"] = True
             self._trace("bug5_stall_in_window")
 
-        self._stage_wb()
-        self._stage_mem(d_critical)
+        # Stages run back to front; one with nothing to do is skipped.
+        if self.wb_bundle is not None:
+            self._stage_wb()
+        self.external_stall = False
+        if self.mem_bundle is not None:
+            self._stage_mem(d_critical)
+        else:
+            self._drain_store_if_idle()
         if self._bug5_watch is not None and d_fill_done:
             self._finish_bug5_window()
-        self._stage_ex()
-        self._stage_rd()
-        self._stage_if()
+        if self.ex_bundle is not None and self.mem_bundle is None:
+            self._stage_ex()
+        if self.rd_bundle is not None and self.ex_bundle is None:
+            self._stage_rd()
+        if self.rd_bundle is None or icache.state is not IRefillState.IDLE:
+            self._stage_if()
 
         self._external_stall_prev = self.external_stall
-        if self.istall:
+        if icache.state is not IRefillState.IDLE:
             self.stall_cycles["istall"] += 1
         self.cycle += 1
 
     def run(self, max_cycles: int = 200_000) -> None:
         """Run until the program drains; raises on suspected deadlock."""
-        while not self.halted:
+        # ``halted`` needs pc past the end, so test that cheap half first.
+        while self.pc < self._program_len or not self.halted:
             if self.cycle >= max_cycles:
                 raise RuntimeError(
                     f"PP did not halt within {max_cycles} cycles "
@@ -275,22 +398,17 @@ class PPCore:
     # -- WB stage ---------------------------------------------------------------
 
     def _stage_wb(self) -> None:
-        if self.wb_bundle is None:
-            return
         for uop in self.wb_bundle:
             if uop.writes_reg is not None and uop.result is not None:
                 self.regfile.write(uop.writes_reg, uop.result)
-                self._trace("reg_write", f"r{uop.writes_reg}={uop.result:#010x}")
+                if self._trace_enabled:
+                    self._trace("reg_write", f"r{uop.writes_reg}={uop.result:#010x}")
             self.retired += 1
         self.wb_bundle = None
 
     # -- MEM stage -----------------------------------------------------------------
 
     def _stage_mem(self, d_critical: Optional[int]) -> None:
-        self.external_stall = False
-        if self.mem_bundle is None:
-            self._drain_store_if_idle()
-            return
         lead = self.mem_bundle[0]
         done = False
         if lead.klass is InstructionClass.LD:
@@ -338,7 +456,8 @@ class PPCore:
         hit = self.dcache.probe(uop.addr, self.stimulus.dcache_hit())
         if hit:
             uop.result = self.dcache.read_hit(uop.addr)
-            self._trace("load_hit", f"addr={uop.addr:#x}")
+            if self._trace_enabled:
+                self._trace("load_hit", f"addr={uop.addr:#x}")
             return True
         # Miss: drain any pending store first so the victim spill cannot
         # overtake it, then start the fill-before-spill refill.
@@ -347,20 +466,22 @@ class PPCore:
             uop.addr, for_store=False, force_dirty_victim=self.stimulus.victim_dirty()
         )
         self._load_wait = (uop.pc, uop.addr)
-        self._trace("load_miss", f"addr={uop.addr:#x}")
+        if self._trace_enabled:
+            self._trace("load_miss", f"addr={uop.addr:#x}")
         self.stall_cycles["dstall"] += 1
         return False
 
     def _load_restart(self, uop: MicroOp, value: int) -> bool:
         """Critical word arrived: restart the stalled load."""
-        self._trace("membus_drive", f"data={value:#010x}")
-        if self._bug(2) and self.istall:
+        if self._trace_enabled:
+            self._trace("membus_drive", f"data={value:#010x}")
+        if self._bug2 and self.istall:
             # Bug #2: the return-data latch is not qualified on I-Stall; by
             # the time the I-miss is serviced the data is gone.
             value = LOST_DATA
             self._trace("bug2_latch_lost")
         uop.result = value
-        if self._bug(5) and self._follower_load_store_present():
+        if self._bug5 and self._follower_load_store_present():
             # Bug #5: a following load/store glitches Membus-valid after the
             # critical word; the corrective rewrite happens at fill end
             # unless an external stall lands in the window.
@@ -387,7 +508,8 @@ class PPCore:
             # The external stall suppressed the second Membus drive: the
             # glitch-latched garbage stays in the register file.
             self.regfile.write(watch["reg"], GARBAGE_Z)
-            self._trace("bug5_garbage_latched", f"r{watch['reg']}")
+            if self._trace_enabled:
+                self._trace("bug5_garbage_latched", f"r{watch['reg']}")
         else:
             # Data rewritten, glitch masked (Fig. 2.2): the register ends
             # up holding the same value, so nothing architectural happens --
@@ -397,21 +519,24 @@ class PPCore:
     def _conflict_stall_load(self, uop: MicroOp) -> bool:
         self.stall_cycles["conflict"] += 1
         self._conflict_drained_this_cycle = True
-        self._trace("conflict_stall", f"addr={uop.addr:#x}")
-        if self._bug(3):
+        if self._trace_enabled:
+            self._trace("conflict_stall", f"addr={uop.addr:#x}")
+        if self._bug3:
             follower = self._follower_mem_addr()
             if follower is not None:
                 # Bug #3: the stalled load's address register is not held
                 # during the conflict stall; the follower's address wins.
                 uop.addr = follower
-                self._trace("bug3_addr_clobbered", f"addr={follower:#x}")
-        if self._bug(6) and self.istall:
+                if self._trace_enabled:
+                    self._trace("bug3_addr_clobbered", f"addr={follower:#x}")
+        if self._bug6 and self.istall:
             # Bug #6: with a simultaneous I-stall the load reads the stale
             # word instead of waiting for the store's data write.
             stale = self.dcache.read_hit(uop.addr)
             self.dcache.drain_pending_store()
             uop.result = stale
-            self._trace("bug6_stale_load", f"addr={uop.addr:#x}")
+            if self._trace_enabled:
+                self._trace("bug6_stale_load", f"addr={uop.addr:#x}")
             return True
         self.dcache.drain_pending_store()
         return False  # the load retries (and normally hits) next cycle
@@ -431,7 +556,8 @@ class PPCore:
             if self.dcache.refill_state is DRefillState.IDLE:
                 self._store_wait = None
                 self.dcache.post_store(uop.addr, uop.store_val)
-                self._trace("store_posted_after_refill", f"addr={uop.addr:#x}")
+                if self._trace_enabled:
+                    self._trace("store_posted_after_refill", f"addr={uop.addr:#x}")
                 return True
             self.stall_cycles["dstall"] += 1
             return False
@@ -450,13 +576,15 @@ class PPCore:
         if hit:
             # Split store: tag probe now, data write on a later idle cycle.
             self.dcache.post_store(uop.addr, uop.store_val)
-            self._trace("store_probe_hit", f"addr={uop.addr:#x}")
+            if self._trace_enabled:
+                self._trace("store_probe_hit", f"addr={uop.addr:#x}")
             return True
         self.dcache.start_refill(
             uop.addr, for_store=True, force_dirty_victim=self.stimulus.victim_dirty()
         )
         self._store_wait = (uop.pc, uop.addr)
-        self._trace("store_miss", f"addr={uop.addr:#x}")
+        if self._trace_enabled:
+            self._trace("store_miss", f"addr={uop.addr:#x}")
         self.stall_cycles["dstall"] += 1
         return False
 
@@ -465,7 +593,8 @@ class PPCore:
         self.inbox.ready_override = forced
         if self.inbox.ready():
             uop.result = self.inbox.take_task()
-            self._trace("switch_taken", f"task={uop.result:#x}")
+            if self._trace_enabled:
+                self._trace("switch_taken", f"task={uop.result:#x}")
             return True
         self.external_stall = True
         self.stall_cycles["external"] += 1
@@ -477,7 +606,8 @@ class PPCore:
         self.outbox.ready_override = forced
         if self.outbox.ready():
             self.outbox.accept(uop.store_val)
-            self._trace("send_accepted", f"word={uop.store_val:#x}")
+            if self._trace_enabled:
+                self._trace("send_accepted", f"word={uop.store_val:#x}")
             return True
         self.external_stall = True
         self.stall_cycles["external"] += 1
@@ -487,217 +617,140 @@ class PPCore:
     # -- EX stage ---------------------------------------------------------------
 
     def _stage_ex(self) -> None:
-        if self.ex_bundle is None or self.mem_bundle is not None:
-            return
+        branch = None
         for uop in self.ex_bundle:
-            self._execute(uop)
-        branch = next((u for u in self.ex_bundle if u.is_branch), None)
+            if uop.is_mem:
+                uop.addr = (uop.src1 + uop.instr.imm) & WORD_MASK
+            elif uop.alu is not None:
+                uop.result = uop.alu(uop.src1, uop.src2, uop.instr.imm)
+            elif uop.is_branch and branch is None:
+                branch = uop
         if branch is not None:
             self._resolve_branch(branch)
         self.mem_bundle = self.ex_bundle
         self.ex_bundle = None
 
-    def _execute(self, uop: MicroOp) -> None:
-        ins = uop.instr
-        op = ins.opcode
-        a, b = uop.src1, uop.src2
-        if uop.is_mem:
-            uop.addr = (a + ins.imm) & WORD_MASK
-            return
-        if op is Opcode.NOP or uop.klass in (
-            InstructionClass.SWITCH, InstructionClass.SEND
-        ) or uop.is_branch:
-            return
-        if op is Opcode.ADD:
-            uop.result = (a + b) & WORD_MASK
-        elif op is Opcode.SUB:
-            uop.result = (a - b) & WORD_MASK
-        elif op is Opcode.AND:
-            uop.result = a & b
-        elif op is Opcode.OR:
-            uop.result = a | b
-        elif op is Opcode.XOR:
-            uop.result = a ^ b
-        elif op is Opcode.SLL:
-            uop.result = (a << (b & 31)) & WORD_MASK
-        elif op is Opcode.SRL:
-            uop.result = (a & WORD_MASK) >> (b & 31)
-        elif op is Opcode.SLT:
-            uop.result = int(_signed(a) < _signed(b))
-        elif op is Opcode.ADDI:
-            uop.result = (a + ins.imm) & WORD_MASK
-        elif op is Opcode.ANDI:
-            uop.result = a & (ins.imm & 0xFFFF)
-        elif op is Opcode.ORI:
-            uop.result = a | (ins.imm & 0xFFFF)
-        elif op is Opcode.XORI:
-            uop.result = a ^ (ins.imm & 0xFFFF)
-        elif op is Opcode.LUI:
-            uop.result = ((ins.imm & 0xFFFF) << 16) & WORD_MASK
-        else:  # pragma: no cover - decode fallback yields NOP
-            uop.result = None
-
     def _resolve_branch(self, uop: MicroOp) -> None:
-        ins = uop.instr
+        op = uop.opcode
+        imm = uop.instr.imm
         taken = False
         target = 0
-        if ins.opcode is Opcode.BEQ:
+        if op is Opcode.BEQ:
             taken = uop.src1 == uop.store_val
-            target = uop.pc + 1 + ins.imm
-        elif ins.opcode is Opcode.BNE:
+            target = uop.pc + 1 + imm
+        elif op is Opcode.BNE:
             taken = uop.src1 != uop.store_val
-            target = uop.pc + 1 + ins.imm
-        elif ins.opcode is Opcode.J:
+            target = uop.pc + 1 + imm
+        elif op is Opcode.J:
             taken = True
-            target = ins.imm
+            target = imm
         if taken:
             self.pc = target
-            self._trace("branch_taken", f"target={target}")
+            if self._trace_enabled:
+                self._trace("branch_taken", f"target={target}")
             if self.config.squashing_branches and self.rd_bundle is not None:
                 # Squash the fall-through instructions fetched behind the
                 # branch; fetch resumes from the target this same cycle.
-                self._trace(
-                    "branch_squash", f"pc={self.rd_bundle[0].pc} x{len(self.rd_bundle)}"
-                )
+                if self._trace_enabled:
+                    self._trace(
+                        "branch_squash",
+                        f"pc={self.rd_bundle[0].pc} x{len(self.rd_bundle)}",
+                    )
                 self.rd_bundle = None
         self._branch_pending = False
 
     # -- RD stage -------------------------------------------------------------
 
     def _stage_rd(self) -> None:
-        if self.rd_bundle is None or self.ex_bundle is not None:
-            return
         if self._raw_hazard(self.rd_bundle):
             self.stall_cycles["raw"] += 1
             return
+        read = self.regfile.read
         for uop in self.rd_bundle:
-            self._read_operands(uop)
+            ins = uop.instr
+            uop.src1 = read(ins.rs)
+            uop.src2 = read(ins.rt)
+            uop.store_val = read(ins.rd)
+            uop.writes_reg = uop.dest
         self.ex_bundle = self.rd_bundle
         self.rd_bundle = None
 
     def _raw_hazard(self, bundle: Bundle) -> bool:
-        pending: set = set()
-        for other in (self.ex_bundle, self.mem_bundle, self.wb_bundle):
-            if other:
-                pending.update(
-                    u.writes_reg for u in other if u.writes_reg is not None
-                )
-        pending.discard(0)
+        # r0 never carries a dependence, hence the truthiness test.
+        pending = [
+            u.writes_reg
+            for other in (self.ex_bundle, self.mem_bundle, self.wb_bundle)
+            if other
+            for u in other
+            if u.writes_reg
+        ]
+        if not pending:
+            return False
         for uop in bundle:
-            if any(src in pending for src in self._sources(uop.instr)):
-                return True
+            for src in uop.sources:
+                if src in pending:
+                    return True
         return False
-
-    @staticmethod
-    def _sources(ins: Instruction) -> Tuple[int, ...]:
-        klass = ins.klass
-        op = ins.opcode
-        if op is Opcode.NOP or op is Opcode.LUI or op is Opcode.J:
-            return ()
-        if klass is InstructionClass.SWITCH:
-            return ()
-        if klass is InstructionClass.SEND:
-            return (ins.rd,)
-        if klass is InstructionClass.SD:
-            return (ins.rs, ins.rd)
-        if op in (Opcode.BEQ, Opcode.BNE):
-            return (ins.rs, ins.rd)
-        if op in (Opcode.ADD, Opcode.SUB, Opcode.AND, Opcode.OR, Opcode.XOR,
-                  Opcode.SLL, Opcode.SRL, Opcode.SLT):
-            return (ins.rs, ins.rt)
-        return (ins.rs,)
-
-    def _read_operands(self, uop: MicroOp) -> None:
-        ins = uop.instr
-        uop.src1 = self.regfile.read(ins.rs)
-        uop.src2 = self.regfile.read(ins.rt)
-        uop.store_val = self.regfile.read(ins.rd)
-        uop.writes_reg = self._dest(ins)
-
-    @staticmethod
-    def _dest(ins: Instruction) -> Optional[int]:
-        klass = ins.klass
-        if ins.opcode is Opcode.NOP or ins.is_nop():
-            return None
-        if klass in (InstructionClass.SD, InstructionClass.SEND):
-            return None
-        if ins.opcode in BRANCH_OPCODES:
-            return None
-        return ins.rd
 
     # -- IF stage ---------------------------------------------------------------
 
     def _stage_if(self) -> None:
-        if self.icache.state is IRefillState.FIXUP:
-            # The fix-up cycle restores the instruction registers.
-            self.icache.finish_fixup()
-            if self._bug(4) and self.external_stall:
-                # Bug #4: the fix-up is not qualified on MemStall; the
-                # restored fetch is lost.
-                self._bug4_drop_fetch = True
-                self._trace("bug4_fixup_lost")
-            return
-        if self.icache.stalling:
+        icache = self.icache
+        if icache.state is not IRefillState.IDLE:
+            if icache.state is IRefillState.FIXUP:
+                # The fix-up cycle restores the instruction registers.
+                icache.finish_fixup()
+                if self._bug4 and self.external_stall:
+                    # Bug #4: the fix-up is not qualified on MemStall; the
+                    # restored fetch is lost.
+                    self._bug4_drop_fetch = True
+                    self._trace("bug4_fixup_lost")
             return
         if self.rd_bundle is not None:
             return
         if self._branch_pending:
             return  # no speculation: wait for the branch to resolve
-        if self.pc >= len(self.program):
+        if self.pc >= self._program_len:
             return
         address = self.config.text_base + 4 * self.pc
         force = self.stimulus.fetch_hit()
-        word = self.icache.lookup(address, force)
+        word = icache.lookup(address, force)
         if word is None:
-            self.icache.begin_refill(address)
-            self._trace("istall", f"pc={self.pc}")
+            icache.begin_refill(address)
+            if self._trace_enabled:
+                self._trace("istall", f"pc={self.pc}")
             return
-        first = _decode_or_nop(word)
+        first = self._decode(word)
         bundle = [MicroOp(first, self.pc)]
         self.pc += 1
         if self._can_pair(first, address):
-            second_addr = self.config.text_base + 4 * self.pc
-            second_word = self.icache.lookup(second_addr, True)
-            second = _decode_or_nop(second_word if second_word is not None else 0)
-            if self._pair_ok(first, second):
+            second_word = icache.lookup(address + 4, True)
+            second = self._decode(second_word if second_word is not None else 0)
+            if _pair_ok(first, second):
                 bundle.append(MicroOp(second, self.pc))
                 self.pc += 1
         if self._bug4_drop_fetch:
             # The lost fix-up dropped these instruction registers.
             self._bug4_drop_fetch = False
-            self._trace("bug4_instrs_dropped", f"pc={bundle[0].pc}")
+            if self._trace_enabled:
+                self._trace("bug4_instrs_dropped", f"pc={bundle[0].pc}")
             return
-        if any(u.is_branch for u in bundle) and not self.config.squashing_branches:
+        # Slot B is never a branch (see _pair_ok), so slot A decides.
+        if first.is_branch and not self.config.squashing_branches:
             self._branch_pending = True
         self.rd_bundle = bundle
-        self._trace("fetch", f"pc={bundle[0].pc} x{len(bundle)}")
+        if self._trace_enabled:
+            self._trace("fetch", f"pc={bundle[0].pc} x{len(bundle)}")
 
-    def _can_pair(self, first: Instruction, address: int) -> bool:
+    def _can_pair(self, first: Decoded, address: int) -> bool:
+        """Slot B is fetched only from the same I-cache line as slot A."""
         if not self.config.dual_issue:
             return False
-        if self.pc >= len(self.program):
+        if self.pc >= self._program_len:
             return False
-        if first.opcode in BRANCH_OPCODES:
+        if first.is_branch:
             return False
-        next_address = address + 4
-        return line_base(next_address) == line_base(address)
-
-    @staticmethod
-    def _pair_ok(first: Instruction, second: Instruction) -> bool:
-        """Static dual-issue pairing: slot B must be a non-branch ALU op,
-        independent of slot A."""
-        if second.klass is not InstructionClass.ALU:
-            return False
-        if second.opcode in BRANCH_OPCODES:
-            return False
-        first_dest = PPCore._dest(first)
-        if first_dest is not None and first_dest != 0:
-            if first_dest in PPCore._sources(second):
-                return False
-            second_dest = PPCore._dest(second)
-            if second_dest == first_dest:
-                return False
-        return True
+        return (address & (LINE_BYTES - 1)) + 4 < LINE_BYTES
 
     # -- architectural extraction ---------------------------------------------------
 
@@ -723,15 +776,17 @@ class PPCore:
         )
 
 
-def _decode_or_nop(word: int) -> Instruction:
-    """Hardware decodes whatever bits arrive; unknown encodings execute as
-    no-ops (there are no illegal-instruction exceptions in the PP)."""
-    try:
-        return Instruction.decode(word)
-    except ValueError:
-        return Instruction(Opcode.NOP)
-
-
-def _signed(value: int) -> int:
-    value &= WORD_MASK
-    return value - (1 << 32) if value >= (1 << 31) else value
+def _pair_ok(first: Decoded, second: Decoded) -> bool:
+    """Static dual-issue pairing: slot B must be a non-branch ALU op,
+    independent of slot A."""
+    if second.klass is not InstructionClass.ALU:
+        return False
+    if second.is_branch:
+        return False
+    first_dest = first.dest
+    if first_dest is not None and first_dest != 0:
+        if first_dest in second.sources:
+            return False
+        if second.dest == first_dest:
+            return False
+    return True

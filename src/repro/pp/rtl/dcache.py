@@ -30,7 +30,7 @@ from typing import List, Optional, Tuple
 
 from repro.pp.isa import WORD_MASK
 from repro.pp.rtl.memctrl import MemoryController, MemRequest, Requester, WordDelivery
-from repro.pp.rtl.memory import LINE_WORDS, MainMemory, line_base, word_in_line
+from repro.pp.rtl.memory import LINE_SHIFT, LINE_WORDS, MainMemory, line_base, word_in_line
 
 
 class DRefillState(enum.Enum):
@@ -66,6 +66,8 @@ class DCache:
         self.memory = memory
         self.memctrl = memctrl
         self.num_sets = num_sets
+        self._index_mask = num_sets - 1
+        self._tag_shift = LINE_SHIFT + num_sets.bit_length() - 1
         self._sets = [[_Line() for _ in range(self.WAYS)] for _ in range(num_sets)]
         self._lru = [0] * num_sets  # way to evict next
 
@@ -88,10 +90,10 @@ class DCache:
     # -- address helpers -----------------------------------------------------
 
     def _set_index(self, address: int) -> int:
-        return (line_base(address) // (LINE_WORDS * 4)) % self.num_sets
+        return ((address & WORD_MASK) >> LINE_SHIFT) & self._index_mask
 
     def _tag(self, address: int) -> int:
-        return line_base(address) // (LINE_WORDS * 4 * self.num_sets)
+        return (address & WORD_MASK) >> self._tag_shift
 
     def _find(self, address: int) -> Optional[_Line]:
         tag = self._tag(address)

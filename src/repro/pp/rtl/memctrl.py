@@ -15,7 +15,7 @@ harness via ``pace_override`` (the abstract model's nondeterministic
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.pp.rtl.memory import LINE_WORDS, MainMemory, line_base
@@ -39,16 +39,27 @@ class MemRequest:
     critical_first: bool = False
 
 
-@dataclass(frozen=True)
 class WordDelivery:
     """One word handed back to a requester this cycle."""
 
-    requester: Requester
-    line_address: int
-    word_index: int  # index in delivery order (0 = first/critical word)
-    word_offset: int  # index of the word within its line
-    value: int
-    is_last: bool
+    __slots__ = ("requester", "line_address", "word_index", "word_offset",
+                 "value", "is_last")
+
+    def __init__(
+        self,
+        requester: Requester,
+        line_address: int,
+        word_index: int,  # index in delivery order (0 = first/critical word)
+        word_offset: int,  # index of the word within its line
+        value: int,
+        is_last: bool,
+    ):
+        self.requester = requester
+        self.line_address = line_address
+        self.word_index = word_index
+        self.word_offset = word_offset
+        self.value = value
+        self.is_last = is_last
 
 
 class MemoryController:
@@ -61,6 +72,11 @@ class MemoryController:
         self.latency = latency
         self._queue: List[MemRequest] = []
         self._current: Optional[MemRequest] = None
+        self._line_address = 0  # line_base of the granted request
+        #: A transaction is granted or queued.  Kept as a plain attribute
+        #: (updated wherever the queue or grant changes) because the core
+        #: polls it every cycle.
+        self.busy = False
         self._countdown = 0
         self._words: List[Tuple[int, int]] = []  # (word_offset, value) in order
         self._delivered = 0
@@ -84,10 +100,7 @@ class MemoryController:
             self._queue.insert(insert_at, req)
         else:
             self._queue.append(req)
-
-    @property
-    def busy(self) -> bool:
-        return self._current is not None or bool(self._queue)
+        self.busy = True
 
     @property
     def owner(self) -> Optional[Requester]:
@@ -100,56 +113,43 @@ class MemoryController:
 
     def tick(self) -> List[WordDelivery]:
         """Advance one cycle; return any word deliveries for this cycle."""
-        deliveries: List[WordDelivery] = []
-        if self._current is None and self._queue:
-            self._grant(self._queue.pop(0))
-            return deliveries  # grant cycle itself delivers nothing
-        if self._current is None:
-            return deliveries
+        current = self._current
+        if current is None:
+            if self._queue:
+                self._grant(self._queue.pop(0))
+            return []  # the grant cycle itself delivers nothing
         if self.pace_override is False:
-            return deliveries  # harness held the memory system this cycle
+            return []  # harness held the memory system this cycle
         if self._countdown > 0:
             self._countdown -= 1
-            return deliveries
-        if self._current.write_words is not None:
+            return []
+        if current.write_words is not None:
             # Line write (spill-buffer write-back) completes as a unit once
             # the latency has elapsed.
-            self.memory.write_line(self._current.address, self._current.write_words)
-            deliveries.append(
-                WordDelivery(
-                    requester=self._current.requester,
-                    line_address=line_base(self._current.address),
-                    word_index=0,
-                    word_offset=0,
-                    value=0,
-                    is_last=True,
-                )
+            self.memory.write_line(current.address, current.write_words)
+            delivery = WordDelivery(
+                current.requester, self._line_address, 0, 0, 0, True
             )
             self._finish()
-            return deliveries
-        word_offset, value = self._words[self._delivered]
-        is_last = self._delivered == LINE_WORDS - 1
-        deliveries.append(
-            WordDelivery(
-                requester=self._current.requester,
-                line_address=line_base(self._current.address),
-                word_index=self._delivered,
-                word_offset=word_offset,
-                value=value,
-                is_last=is_last,
-            )
+            return [delivery]
+        index = self._delivered
+        word_offset, value = self._words[index]
+        is_last = index == LINE_WORDS - 1
+        delivery = WordDelivery(
+            current.requester, self._line_address, index, word_offset, value, is_last
         )
-        self._delivered += 1
+        self._delivered = index + 1
         if is_last:
             self._finish()
-        return deliveries
+        return [delivery]
 
     def _grant(self, req: MemRequest) -> None:
         self._current = req
+        self._line_address = line_base(req.address)
         self._countdown = self.latency
         self._delivered = 0
         if req.write_words is None:
-            base = line_base(req.address)
+            base = self._line_address
             if req.critical_first:
                 critical = (req.address >> 2) % LINE_WORDS
                 order = [(critical + i) % LINE_WORDS for i in range(LINE_WORDS)]
@@ -163,6 +163,7 @@ class MemoryController:
 
     def _finish(self) -> None:
         self._current = None
+        self.busy = bool(self._queue)
         self._words = []
         self._delivered = 0
         self.transactions_completed += 1

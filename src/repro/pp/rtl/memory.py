@@ -10,6 +10,9 @@ from repro.pp.isa import WORD_MASK
 LINE_WORDS = 4
 #: Byte size of a line (word = 4 bytes).
 LINE_BYTES = LINE_WORDS * 4
+#: ``log2(LINE_BYTES)``: shifting a byte address right by this gives its
+#: line number.
+LINE_SHIFT = LINE_BYTES.bit_length() - 1
 
 
 def line_base(address: int) -> int:

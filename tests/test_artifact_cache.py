@@ -446,6 +446,53 @@ class TestPhaseCodeDigests:
         (root / "obs/observer.py").write_text("OBS = 99\n")
         assert keys() == before
 
+    @pytest.mark.parametrize("salted, rekeys", [
+        ("pp/rtl/core.py", False),
+        ("pp/rtl/dcache.py", False),
+        ("pp/rtl/__init__.py", False),
+        ("pp/rtl/stimulus.py", True),
+        ("pp/rtl/memory.py", True),
+        ("pp/fsm_model.py", True),
+    ])
+    def test_rtl_simulator_edit_leaves_phase_keys(self, tmp_path, salted, rekeys):
+        # The RTL simulator runs only at comparison time: salting it must
+        # keep every phase key, while the two pp/rtl modules the vector
+        # generator imports (and the rest of pp/) still re-key.
+        from repro.core.cache import PHASES, phase_code_version, pipeline_phase_keys
+
+        root = self._tree(
+            tmp_path,
+            **{
+                "smurphi/model.py": "A = 1\n",
+                "enumeration/bfs.py": "B = 1\n",
+                "tour/gen.py": "C = 1\n",
+                "vectors/gen.py": "D = 1\n",
+                "pp/fsm_model.py": "E = 1\n",
+                "pp/rtl/__init__.py": "R = 1\n",
+                "pp/rtl/core.py": "R = 2\n",
+                "pp/rtl/dcache.py": "R = 3\n",
+                "pp/rtl/memory.py": "R = 4\n",
+                "pp/rtl/stimulus.py": "R = 5\n",
+            },
+        )
+
+        def keys():
+            digests = {
+                p: phase_code_version(p, package_root=root) for p in PHASES
+            }
+            return pipeline_phase_keys(
+                PPModelConfig(fill_words=1), code_digests=digests
+            )
+
+        before = keys()
+        path = root / salted
+        path.write_text(path.read_text() + "SALT = 1\n")
+        after = keys()
+        if rekeys:
+            assert all(after[p] != before[p] for p in PHASES)
+        else:
+            assert after == before
+
 
 class TestCodeVersionRefresh:
     """The staleness escape hatch (ISSUE: PR 10, satellite a)."""

@@ -341,6 +341,19 @@ class TestRegistry:
         assert "enum.sequential" in names
         assert "enum.parallel" in names
 
+    def test_compare_suite_records_throughput_and_split(self, monkeypatch):
+        monkeypatch.setattr(bench, "_REPEATS", 1)
+        result = bench.run_benchmark("compare.suite")
+        assert validate_bench_result(result.to_dict()) == []
+        metrics = {k: v["value"] for k, v in result.metrics.items()}
+        assert set(metrics) == {"seconds", "cycles_per_s", "rtl_s", "spec_s"}
+        assert result.metrics["cycles_per_s"]["higher_is_better"]
+        assert result.context["jobs"] == 1
+        assert metrics["cycles_per_s"] == pytest.approx(
+            result.context["cycles"] / metrics["seconds"]
+        )
+        assert metrics["rtl_s"] > 0 and metrics["spec_s"] > 0
+
     def test_unknown_benchmark_raises(self):
         with pytest.raises(KeyError):
             bench.run_benchmark("no.such.benchmark")

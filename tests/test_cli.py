@@ -140,6 +140,17 @@ class TestValidate:
     def test_unknown_bug_rejected(self, capsys):
         assert main(["validate", "--bug", "99"]) == 2
 
+    def test_branches_clean_then_bug_detected(self, tmp_path, capsys):
+        # The branch-extended vectors (real beq/bne, replayed on the
+        # squashing-branch core) match the spec on the clean design and
+        # still expose an injected bug.
+        base = ["validate", "--fill-words", "1", "--branches",
+                "--cache-dir", str(tmp_path)]
+        assert main(base) == 0
+        assert "no divergence" in capsys.readouterr().out
+        assert main(base + ["--bug", "3"]) == 0
+        assert "DIVERGED" in capsys.readouterr().out
+
 
 class TestMisc:
     def test_errata(self, capsys):
