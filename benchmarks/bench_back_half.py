@@ -5,9 +5,9 @@ Claims measured:
 1. **Indexed tour generation is >= 3x faster than the reference Fig. 3.3
    generator** at paper scale, while producing a bit-identical TourSet.
    The reference rebuilds a from-scratch BFS for every explore splice;
-   the indexed generator amortizes that with a CSR adjacency and a
-   reverse-BFS nearest-untraversed-arc distance field used purely for
-   pruning/early exit, so queue order -- hence the tours -- never changes.
+   the indexed generator keeps an exact nearest-untraversed-arc distance
+   field over a CSR adjacency, repaired on each retired target, so the
+   explore is a greedy descent that provably returns the reference path.
 2. **Memoized vector generation is >= 2x faster than the pre-memo path**
    (one ``_step`` per unique ``(src_state, condition)`` pair instead of
    two model replays per traversed arc), bit-identical TraceSet.  The

@@ -115,7 +115,7 @@ from repro.resilience import (
     atomic_write_text,
     install_term_to_interrupt,
 )
-from repro.tour import IndexedTourGenerator, TourGenerator, arc_coverage
+from repro.tour import IndexedTourGenerator, arc_coverage
 
 #: Documented exit codes (see module docstring).  When several apply the
 #: most diagnostic wins: invariant violation > budget truncation > missed
@@ -487,10 +487,7 @@ def cmd_tours(args) -> int:
     else:
         model = build_pp_control_model(_model_config(args))
         graph, _ = enumerate_states(model)
-    generator_cls = (
-        TourGenerator if args.generator == "reference" else IndexedTourGenerator
-    )
-    tours = generator_cls(
+    tours = IndexedTourGenerator(
         graph, max_instructions_per_trace=args.limit or None
     ).generate()
     stats = tours.stats
@@ -892,11 +889,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", help="reuse a JSON state graph")
     p.add_argument("--limit", type=int, default=400,
                    help="instructions per trace (0 = unlimited)")
-    p.add_argument("--generator", choices=("indexed", "reference"),
-                   default="indexed",
-                   help="tour generator: the CSR+distance-index one "
-                        "(default) or the reference Fig. 3.3 loop; both "
-                        "produce bit-identical tours")
     p.set_defaults(func=cmd_tours)
 
     p = sub.add_parser("validate", help="run the full validation pipeline")

@@ -36,10 +36,10 @@ Changing any of these changes the key, so stale entries are never *read*
 
 Deliberately **absent** from the key: ``jobs`` (enumeration, vector
 generation, and comparison workers), comparison scheduling/``chunksize``,
-the transition kernel, the tour generator choice, and transition-event
-memoization.  All of these are output-invariant -- every configuration
-produces bit-identical artifacts (golden-tested) -- so a cached build is
-shared across all of them.
+the transition kernel and transition-event memoization.  All of these
+are output-invariant -- every configuration produces bit-identical
+artifacts (golden-tested) -- so a cached build is shared across all of
+them.
 
 Storage format
 --------------

@@ -42,6 +42,7 @@ from __future__ import annotations
 import concurrent.futures
 import logging
 import multiprocessing
+import signal
 import time
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
@@ -70,6 +71,10 @@ _IN_POOL_WORKER = False
 def _init_pool_worker() -> None:
     global _IN_POOL_WORKER
     _IN_POOL_WORKER = True
+    # Workers fork-inherit the coordinator's SIGTERM handler, which the
+    # one-shot CLI turns into KeyboardInterrupt; :meth:`WorkerPool.retire`
+    # terminates workers, and that must end them quietly.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
 
 def in_worker() -> bool:
@@ -194,16 +199,23 @@ class WorkerPool:
         executor, self._executor = self._executor, None
         if executor is None:
             return
+        # Read the process table and manager thread first: shutdown()
+        # clears both.
+        procs = list((getattr(executor, "_processes", None) or {}).values())
+        manager = getattr(executor, "_executor_manager_thread", None)
         try:
             executor.shutdown(wait=False, cancel_futures=True)
         except Exception:  # a broken pool can throw during teardown
             pass
-        procs = list((getattr(executor, "_processes", None) or {}).values())
         for proc in procs:
             if proc.is_alive():
                 proc.terminate()
         for proc in procs:
             proc.join(timeout=1.0)
+        # The manager thread reaps workers too; once it exits, every
+        # worker's exit code is recorded and none shows as still active.
+        if manager is not None:
+            manager.join(timeout=1.0)
 
     def shutdown(self) -> None:
         """Retire the workers and refuse further worker dispatch."""

@@ -1,45 +1,31 @@
-"""Indexed tour generation: Fig. 3.3 on a CSR graph with a distance index.
+"""Indexed tour generation: Fig. 3.3 on a CSR graph with an exact distance field.
 
 :class:`IndexedTourGenerator` produces **bit-identical** output to the
 reference :class:`~repro.tour.fig33.TourGenerator` (same tours, same edge
-order, same splits -- golden- and property-tested) while replacing its two
-scaling bottlenecks:
+order, same splits -- golden- and property-tested) while replacing its
+scaling bottleneck, the from-scratch explore BFS at every stuck point:
 
-1. **Flat CSR adjacency.**  The graph is frozen into four integer arrays
-   (``indptr``/``out_edge``/``out_dst`` plus a reverse CSR for the index)
-   so the greedy DFS and the explore BFS walk plain ``list[int]`` lookups
-   instead of per-state tuple rows, and the BFS scratch (visited marks,
-   parent edges, depths, queue) is preallocated once and recycled across
-   splices with an epoch stamp instead of allocating fresh dicts/deques at
-   every stuck point.
+1. **Flat CSR adjacency.**  The graph is frozen into integer arrays
+   (``indptr``/``out_edge``/``out_dst`` plus a reverse CSR) so the greedy
+   DFS, the explore descent and the field repair walk plain ``list[int]``
+   lookups instead of per-state tuple rows.
 
-2. **A nearest-untraversed-arc index.**  The reference generator re-runs a
-   full O(V+E) breadth-first *explore* from scratch at every stuck point
-   (~90% of generation time at paper scale).  Here a reverse multi-source
-   BFS computes, for every state, the distance to the nearest state that
-   still has an untraversed out-arc.  The field is maintained with *lazy
-   epoch invalidation*: traversing arcs only ever shrinks the target set,
-   so a stale field is always a valid **lower bound** and is only rebuilt
-   when an explore actually outruns it.
+2. **An exact nearest-untraversed-arc field.**  ``dist[s]`` is the BFS
+   distance from ``s`` to the nearest *target* (a state that still has an
+   untraversed out-arc).  It is built once, by a reverse multi-source
+   BFS, at the first explore, and then kept exact: targets only ever
+   leave the set (Even--Shiloach's decremental setting), and when one
+   does, :meth:`IndexedTourGenerator._retire` re-settles just the states
+   whose every shortest path ran through it (the affected *cone*).
 
-The index is used strictly to *prune/early-exit* the forward explore, so
-the BFS queue order and tie-breaks -- hence the chosen splice path and the
-resulting tours -- are unchanged:
-
-- ``dist[s] == INF`` means no untraversed arc was reachable from ``s`` at
-  rebuild time; since targets only shrink this stays true forever, so the
-  explore returns "unreachable" without touching the graph (this is every
-  tour close and the end-of-run check).
-- With a bound ``B >= dist[s]``, a discovered node ``w`` at depth ``k``
-  with ``k + dist[w] > B`` cannot reach any target soon enough to matter,
-  and -- because the field satisfies the BFS triangle inequality from its
-  rebuild epoch -- ``w`` can also never be the parent of any node on the
-  path the un-pruned BFS would return (see DESIGN.md for the argument).
-  Such nodes are marked visited but never enqueued.
-- If the bound was stale-low the pruned BFS finds nothing; the generator
-  then rebuilds the field (making the bound exact) and retries, with an
-  unbounded sweep as the final fallback.  Every escalation step returns
-  either the reference path or "not found", never a different path.
+With an exact field the explore needs no search at all.  Every node at
+depth ``k`` of a shortest path from ``s`` has ``dist == dist[s] - k``, and
+none of them is discovered shallower by the reference BFS (that would be
+a shorter path), so the first such node of level ``k`` in BFS order is
+the first qualifying CSR child of the first such node of level ``k - 1``.
+The reference path is therefore the greedy descent that takes, from each
+node, the first out-arc whose head is one step closer.  ``dist == INF``
+means no target is reachable: the tour closes without touching the graph.
 """
 
 from __future__ import annotations
@@ -97,12 +83,12 @@ class IndexedTourGenerator:
         self._indptr = indptr
         self._out_edge = out_edge
         self._out_dst = out_dst
-        # Prezipped (dst, edge_index) rows: the explore BFS slices these
-        # directly, which beats per-position indexing in pure Python.
+        # Prezipped (dst, edge_index) rows: the explore descent slices
+        # these directly, which beats per-position indexing in pure Python.
         self._out_pairs = list(zip(out_dst, out_edge))
 
-        # Reverse CSR (in-edges by destination) for the distance index;
-        # only source ids are needed -- the index never reconstructs paths.
+        # Reverse CSR (in-edges by destination) for the distance field;
+        # only source ids are needed -- the field never reconstructs paths.
         rcounts = [0] * num_states
         for dst in self._edge_dst:
             rcounts[dst] += 1
@@ -121,14 +107,24 @@ class IndexedTourGenerator:
 
     def generate(self, obs: Optional[Observer] = None) -> TourSet:
         """Run the Fig. 3.3 loop; same events/counters as the reference,
-        plus ``tour.explore_pruned`` (BFS enqueues skipped via the index),
-        ``tour.explore_short_circuits`` (explores answered straight from
-        the distance field) and ``tour.index_rebuilds``."""
+        plus ``tour.explore_short_circuits`` (explores answered straight
+        from the distance field), ``tour.index_rebuilds`` (from-scratch
+        field builds: one per run that explores at all) and
+        ``tour.field_repairs`` (states re-settled by cone repairs).
+
+        Two child spans split the run: ``tour.costs`` (each arc's
+        instruction cost, computed once -- where a memo-backed cost fills
+        its memo) and ``tour.generate`` (the Fig. 3.3 loop itself).
+        """
         obs = resolve(obs)
         started = time.perf_counter()
         graph = self.graph
         num_states = graph.num_states
         num_edges = graph.num_edges
+
+        with obs.span("tour.costs"):
+            cost = self.instruction_cost
+            self._costs = [cost(edge) for edge in graph.edges()]
 
         self._traversed = bytearray(num_edges)
         self._cursors = list(self._indptr[:num_states])
@@ -136,88 +132,82 @@ class IndexedTourGenerator:
             self._indptr[s + 1] - self._indptr[s] for s in range(num_states)
         ]
         self._remaining = num_edges
-        # Distance index state.  INF exceeds any possible BFS depth.
+        # The distance field, built at the first explore.  INF exceeds
+        # any possible BFS depth.
         self._inf = num_states + 1
-        self._dist = [self._inf] * num_states
-        self._field_valid = False
-        self._field_stale = False
-        # Preallocated BFS scratch, recycled across splices via the epoch.
-        self._visit_mark = [0] * num_states
-        self._visit_epoch = 0
-        self._parent = [-1] * num_states
-        self._depth = [0] * num_states
-        self._queue = [0] * num_states
+        self._dist: Optional[List[int]] = None
         # Run counters (flushed once at the end, observability style).
-        self._explore_pruned = 0
         self._short_circuits = 0
         self._rebuilds = 0
+        self._repairs = 0
 
         tours: List[Tour] = []
         limit_restarts = 0
         explore_splices = 0
         cumulative_instructions = 0
-        while self._remaining:
-            tour = Tour()
-            state = StateGraph.RESET
-            limit_hit = False
-            while True:
-                state = self._traverse_dfs(state, tour)
-                if self.max_instructions is not None and tour.instructions >= self.max_instructions:
-                    limit_hit = True
-                    break
-                path = self._explore(state)
-                if path is None:
-                    break  # nothing else reachable: close this tour
-                if path:
-                    explore_splices += 1
-                for index in path:
-                    self._take(index, tour)
-                state = self._edge_dst[path[-1]] if path else state
-            if tour.edge_indices:
-                tours.append(tour)
-                limit_restarts += limit_hit
-                cumulative_instructions += tour.instructions
-                obs.observe("tour.trace_instructions", tour.instructions)
-                obs.observe("tour.trace_edges", len(tour))
-                obs.event(
-                    "tour.trace",
-                    index=len(tours) - 1,
-                    edges=len(tour),
-                    instructions=tour.instructions,
-                    cumulative_instructions=cumulative_instructions,
-                    covered_arcs=num_edges - self._remaining,
-                    graph_arcs=num_edges,
-                    limit_hit=limit_hit,
-                )
-                obs.heartbeat(
-                    "tours",
-                    traces=len(tours),
-                    instructions=cumulative_instructions,
-                    covered_arcs=num_edges - self._remaining,
-                    graph_arcs=num_edges,
-                )
-            elif not limit_hit and self._remaining:
-                raise RuntimeError(
-                    "unreachable untraversed arcs remain; graph is not "
-                    "reset-reachable"
-                )
+        with obs.span("tour.generate"):
+            while self._remaining:
+                tour = Tour()
+                state = StateGraph.RESET
+                limit_hit = False
+                while True:
+                    state = self._traverse_dfs(state, tour)
+                    if self.max_instructions is not None and tour.instructions >= self.max_instructions:
+                        limit_hit = True
+                        break
+                    path = self._explore(state)
+                    if path is None:
+                        break  # nothing else reachable: close this tour
+                    if path:
+                        explore_splices += 1
+                    for index in path:
+                        self._take(index, tour)
+                    state = self._edge_dst[path[-1]] if path else state
+                if tour.edge_indices:
+                    tours.append(tour)
+                    limit_restarts += limit_hit
+                    cumulative_instructions += tour.instructions
+                    obs.observe("tour.trace_instructions", tour.instructions)
+                    obs.observe("tour.trace_edges", len(tour))
+                    obs.event(
+                        "tour.trace",
+                        index=len(tours) - 1,
+                        edges=len(tour),
+                        instructions=tour.instructions,
+                        cumulative_instructions=cumulative_instructions,
+                        covered_arcs=num_edges - self._remaining,
+                        graph_arcs=num_edges,
+                        limit_hit=limit_hit,
+                    )
+                    obs.heartbeat(
+                        "tours",
+                        traces=len(tours),
+                        instructions=cumulative_instructions,
+                        covered_arcs=num_edges - self._remaining,
+                        graph_arcs=num_edges,
+                    )
+                elif not limit_hit and self._remaining:
+                    raise RuntimeError(
+                        "unreachable untraversed arcs remain; graph is not "
+                        "reset-reachable"
+                    )
         elapsed = time.perf_counter() - started
         obs.inc("tour.traces", len(tours))
         obs.inc("tour.arc_traversals", sum(len(t) for t in tours))
         obs.inc("tour.instructions", cumulative_instructions)
         obs.inc("tour.limit_restarts", limit_restarts)
         obs.inc("tour.explore_splices", explore_splices)
-        obs.inc("tour.explore_pruned", self._explore_pruned)
         obs.inc("tour.explore_short_circuits", self._short_circuits)
         obs.inc("tour.index_rebuilds", self._rebuilds)
+        obs.inc("tour.field_repairs", self._repairs)
         obs.observe("tour.seconds", elapsed)
         logger.info(
             "generated %d tours covering %d arcs (%d instructions, "
-            "%d limit restarts, %d explore splices; %d pruned enqueues, "
-            "%d short circuits, %d index rebuilds) in %.3fs",
+            "%d limit restarts, %d explore splices; %d short circuits, "
+            "%d index rebuilds, %d field repairs) in %.3fs",
             len(tours), num_edges, cumulative_instructions,
-            limit_restarts, explore_splices, self._explore_pruned,
-            self._short_circuits, self._rebuilds, elapsed,
+            limit_restarts, explore_splices, self._short_circuits,
+            self._rebuilds, self._repairs, elapsed,
         )
         return TourSet(self.graph, tours, elapsed)
 
@@ -248,29 +238,54 @@ class IndexedTourGenerator:
 
     def _take(self, index: int, tour: Tour) -> None:
         tour.edge_indices.append(index)
-        tour.instructions += self.instruction_cost(self.graph.edge(index))
+        tour.instructions += self._costs[index]
         if not self._traversed[index]:
             self._traversed[index] = 1
             src = self._edge_src[index]
             self._untraversed_out[src] -= 1
             self._remaining -= 1
-            if not self._untraversed_out[src]:
-                # A target left the index's source set: finite distances
-                # decay to lower bounds (INF entries stay exact forever).
-                self._field_stale = True
+            if not self._untraversed_out[src] and self._dist is not None:
+                self._retire(src)
 
-    # -- the distance index -----------------------------------------------------
+    def _explore(self, state: int) -> Optional[List[int]]:
+        """Explore phase: identical result to the reference ``_explore_bfs``.
 
-    def _rebuild_index(self) -> None:
-        """Reverse multi-source BFS: distance to the nearest state that
-        still has an untraversed out-arc, for every state at once.
-
-        Level-synchronous over the reverse CSR; the resulting distances
-        are source-order independent, so nothing here affects tours.
+        With the field exact, the reference BFS path is the greedy descent
+        through first-in-CSR-order arcs that step one closer to a target
+        (see the module docstring), so no search is needed.
         """
+        if self._untraversed_out[state]:
+            return []
+        if self._dist is None:
+            self._build_field()
+        dist = self._dist
+        want = dist[state]
+        if want >= self._inf:
+            self._short_circuits += 1
+            return None
+        indptr = self._indptr
+        out_pairs = self._out_pairs
+        path: List[int] = []
+        current = state
+        while want:
+            want -= 1
+            for dst, edge_index in out_pairs[indptr[current]:indptr[current + 1]]:
+                if dist[dst] == want:
+                    break
+            else:
+                raise AssertionError(f"distance field inexact at state {current}")
+            path.append(edge_index)
+            current = dst
+        return path
+
+    # -- the distance field -----------------------------------------------------
+
+    def _build_field(self) -> None:
+        """Reverse multi-source BFS: distance to the nearest state that
+        still has an untraversed out-arc, for every state at once."""
         self._rebuilds += 1
         inf = self._inf
-        num_states = len(self._dist)
+        num_states = len(self._untraversed_out)
         untraversed_out = self._untraversed_out
         self._dist = dist = [inf] * num_states
         frontier = [s for s in range(num_states) if untraversed_out[s]]
@@ -289,115 +304,78 @@ class IndexedTourGenerator:
                         dist[src] = next_depth
                         push(src)
             frontier = level
-        self._field_valid = True
-        self._field_stale = False
 
-    #: On a bounded miss the bound doubles this many times (a retry costs
-    #: one pruned BFS) before paying for a full index rebuild, which makes
-    #: the next bound exact.  1 = rebuild on the first miss: measured on
-    #: the pp graph, deferring rebuilds lets the whole field go stale and
-    #: the loosened pruning costs more than the rebuilds saved.
-    RETRIES_BEFORE_REBUILD = 1
+    def _retire(self, root: int) -> None:
+        """Keep the field exact after ``root`` stopped being a target.
 
-    def _explore(self, state: int) -> Optional[List[int]]:
-        """Explore phase: identical result to the reference ``_explore_bfs``.
+        Only the *cone* of states whose every shortest path ran through
+        ``root`` can change; every other state keeps a tight successor
+        outside the cone, and so its distance.
 
-        Escalation ladder: index-bounded BFS at the field's lower bound ->
-        bound-doubling retries -> rebuild the field (exact bound) -> full
-        sweep.  Every rung is reference-equivalent for *any* bound as long
-        as the field is a valid lower bound (see ``_bounded_bfs``): it
-        either returns the reference path or proves no target lies within
-        its bound, so only the escalation *cost* depends on staleness,
-        never the result.  The final bound of ``2 * num_states`` exceeds
-        any possible ``depth + dist`` sum, so the last rung prunes nothing
-        and is the reference algorithm itself on CSR arrays.
+        1. Find the cone, in FIFO order from ``root``: a predecessor at
+           one level up joins when none of its successors outside the cone
+           still sits at the level below.  Levels increase along the FIFO,
+           so each level's membership is settled before the next is tested.
+        2. Re-settle it: seed each cone state from its successors outside
+           the cone (``1 + min dist``, or INF), then run a BFS over the
+           reverse CSR restricted to the cone, merging the sorted seeds
+           with the FIFO so states settle in distance order.  A state with
+           no finite seed stays INF -- distances only come from outside
+           the cone, so nothing counts to infinity.
         """
-        if self._untraversed_out[state]:
-            return []
-        if not self._field_valid:
-            self._rebuild_index()
-        if self._dist[state] >= self._inf:
-            # Sound even when stale: the target set only ever shrinks.
-            self._short_circuits += 1
-            return None
-        bound = self._dist[state]
-        ceiling = 2 * len(self._dist)
-        retries = 0
-        while True:
-            path = self._bounded_bfs(state, bound)
-            if path is not None:
-                return path
-            if bound >= ceiling:
-                return None  # exact: the full sweep found nothing
-            retries += 1
-            if retries == self.RETRIES_BEFORE_REBUILD:
-                # The stale lower bound keeps undershooting: make it exact.
-                self._rebuild_index()
-                if self._dist[state] >= self._inf:
-                    self._short_circuits += 1
-                    return None
-                bound = self._dist[state]
-            elif retries > self.RETRIES_BEFORE_REBUILD:
-                bound = ceiling  # fresh exact bound missed: defensive sweep
-            else:
-                bound = 2 * bound + 1
-
-    def _bounded_bfs(self, state: int, bound: int) -> Optional[List[int]]:
-        """Forward BFS in reference discovery order, skipping (but still
-        marking) nodes the index proves useless within ``bound``."""
-        self._visit_epoch += 1
-        epoch = self._visit_epoch
-        visit_mark = self._visit_mark
-        parent = self._parent
-        depth = self._depth
-        queue = self._queue
         dist = self._dist
+        inf = self._inf
         indptr = self._indptr
-        out_pairs = self._out_pairs
-        untraversed_out = self._untraversed_out
-        pruned = 0
+        out_dst = self._out_dst
+        rindptr = self._rindptr
+        rin_src = self._rin_src
 
-        visit_mark[state] = epoch
-        depth[state] = 0
-        queue[0] = state
-        head, tail = 0, 1
-        while head < tail:
-            current = queue[head]
-            head += 1
-            child_depth = depth[current] + 1
-            for dst, edge_index in out_pairs[indptr[current]:indptr[current + 1]]:
-                if visit_mark[dst] == epoch:
+        cone = {root}
+        order = [root]
+        for node in order:  # grows while iterating: the FIFO
+            level = dist[node]
+            up = level + 1
+            for pred in rin_src[rindptr[node]:rindptr[node + 1]]:
+                if dist[pred] != up or pred in cone:
                     continue
-                visit_mark[dst] = epoch
-                parent[dst] = edge_index
-                # Prune BEFORE the target check: a target always has
-                # dist == 0 (stale fields only shrink the target set, so
-                # a current target was one at rebuild time too), so this
-                # also rejects targets deeper than the bound.  A stale-low
-                # bound therefore can never return *any* target -- a
-                # return would imply a genuine path shorter than the true
-                # nearest-target distance -- and falls through to the
-                # rebuild rung instead of picking a wrong-parent detour.
-                if child_depth + dist[dst] > bound:
-                    pruned += 1
-                    continue
-                if untraversed_out[dst]:
-                    self._explore_pruned += pruned
-                    return self._reconstruct(dst, state)
-                depth[dst] = child_depth
-                queue[tail] = dst
-                tail += 1
-        self._explore_pruned += pruned
-        return None
+                for succ in out_dst[indptr[pred]:indptr[pred + 1]]:
+                    if dist[succ] == level and succ not in cone:
+                        break  # still has a tight successor outside
+                else:
+                    cone.add(pred)
+                    order.append(pred)
+        self._repairs += len(order)
 
-    def _reconstruct(self, target: int, start: int) -> List[int]:
-        path: List[int] = []
-        node = target
-        parent = self._parent
-        edge_src = self._edge_src
-        while node != start:
-            index = parent[node]
-            path.append(index)
-            node = edge_src[index]
-        path.reverse()
-        return path
+        seeds = []
+        for node in order:
+            best = inf
+            for succ in out_dst[indptr[node]:indptr[node + 1]]:
+                if dist[succ] < best and succ not in cone:
+                    best = dist[succ]
+            if best < inf:
+                dist[node] = best + 1
+                seeds.append((best + 1, node))
+            else:
+                dist[node] = inf
+        seeds.sort()
+
+        queue: List[tuple] = []
+        head = seed = 0
+        while True:
+            if head < len(queue) and (
+                seed == len(seeds) or queue[head][0] <= seeds[seed][0]
+            ):
+                depth, node = queue[head]
+                head += 1
+            elif seed < len(seeds):
+                depth, node = seeds[seed]
+                seed += 1
+            else:
+                break
+            if depth != dist[node]:
+                continue  # superseded by a shorter path through the cone
+            depth += 1
+            for pred in rin_src[rindptr[node]:rindptr[node + 1]]:
+                if dist[pred] > depth and pred in cone:
+                    dist[pred] = depth
+                    queue.append((depth, pred))

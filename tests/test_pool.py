@@ -9,6 +9,9 @@ observable through the ``enum.pool.*`` counters.
 
 import os
 import signal
+import subprocess
+import sys
+import textwrap
 import time
 
 import pytest
@@ -112,6 +115,40 @@ class TestContextGenerations:
             assert pool.spawns == 2
         finally:
             pool.shutdown()
+
+    def test_shutdown_terminates_workers_under_cli_sigterm_handler(self):
+        # The one-shot CLI routes SIGTERM into KeyboardInterrupt and the
+        # workers fork-inherit that; shutdown must still terminate and
+        # join every worker -- an in-flight task included -- without a
+        # worker traceback.  A child interpreter keeps the handler (and
+        # the workers' stderr) away from the test process.
+        script = textwrap.dedent("""
+            import multiprocessing, time
+            from repro.enumeration import make_worker_pool
+            from repro.resilience import RetryPolicy, install_term_to_interrupt
+
+            def nap(seconds, attempt):
+                time.sleep(seconds)
+                return seconds
+
+            install_term_to_interrupt()
+            pool = make_worker_pool(2, retry=RetryPolicy(
+                max_retries=2, backoff_seconds=0.01, shard_timeout=30.0))
+            pool.set_context("t")
+            results = pool.imap_tasks(nap, [0.0, 30.0, 30.0])
+            next(results)
+            pool.shutdown()
+            print("children", len(multiprocessing.active_children()))
+        """)
+        started = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            timeout=60, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "children 0"
+        assert "Traceback" not in proc.stderr, proc.stderr
+        assert time.monotonic() - started < 20, "a worker outlived shutdown"
 
 
 class TestRecovery:

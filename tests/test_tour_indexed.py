@@ -4,8 +4,9 @@ The load-bearing property is *bit-identity*: `IndexedTourGenerator` must
 produce exactly the tours the reference Fig. 3.3 `TourGenerator` does --
 same components, same edge order, same instruction counts -- on any
 reset-reachable graph, with and without instruction limits.  Everything
-else (CSR layout, the distance index, the escalation ladder) is internal
-machinery that only exists to get there faster.
+else (CSR layout, the exact distance field and its cone repairs) is
+internal machinery that only exists to get there faster; the field itself
+is checked against a from-scratch reverse-BFS oracle after every repair.
 """
 
 import pytest
@@ -23,6 +24,43 @@ from tests.test_tour import build_graph, counter_graph, ring
 def tour_dump(tour_set):
     """Canonical bit-comparable form of a TourSet."""
     return [(t.edge_indices, t.instructions) for t in tour_set]
+
+
+def field_oracle(gen):
+    """From-scratch distance field: BFS over reversed arcs from every state
+    that still has an untraversed out-arc (read off the graph, not the
+    generator's CSR or counters)."""
+    graph = gen.graph
+    preds = [[] for _ in range(graph.num_states)]
+    dist = [gen._inf] * graph.num_states
+    frontier = []
+    for index, edge in enumerate(graph.edges()):
+        preds[edge.dst].append(edge.src)
+        if not gen._traversed[index] and dist[edge.src]:
+            dist[edge.src] = 0
+            frontier.append(edge.src)
+    depth = 0
+    while frontier:
+        depth += 1
+        level = []
+        for node in frontier:
+            for src in preds[node]:
+                if dist[src] > depth:
+                    dist[src] = depth
+                    level.append(src)
+        frontier = level
+    return dist
+
+
+class CheckedGenerator(IndexedTourGenerator):
+    """Asserts the maintained field equals the oracle after every repair."""
+
+    retires = 0
+
+    def _retire(self, root):
+        super()._retire(root)
+        self.retires += 1
+        assert self._dist == field_oracle(self)
 
 
 def assert_identical(graph, limit=None, instruction_cost=None):
@@ -157,14 +195,48 @@ class TestCSRIndex:
             assert srcs == expected
 
     def test_distance_field_is_exact_after_rebuild(self):
-        # Fresh generator: every state has untraversed out-arcs, so the
-        # first rebuild must set dist=0 everywhere a state has out-arcs.
-        graph = build_graph([(0, 1), (1, 2), (2, 0)], 3)
-        gen = IndexedTourGenerator(graph)
+        # The maintained field, repaired after every retired target, must
+        # equal both the oracle and a from-scratch rebuild of the product
+        # code -- after the run, when every arc is traversed, all-INF.
+        graph = build_graph([(0, 1), (1, 2), (2, 0), (1, 0)], 3)
+        gen = CheckedGenerator(graph)
         gen.generate()
-        # After the run every arc is traversed: a rebuild now yields all-INF.
-        gen._rebuild_index()
-        assert all(d >= gen._inf for d in gen._dist)
+        assert gen.retires >= 1
+        maintained = list(gen._dist)
+        gen._build_field()
+        assert gen._dist == maintained == field_oracle(gen)
+        assert all(d >= gen._inf for d in maintained)
+
+    def test_field_exact_after_every_retire_pp_graph(self):
+        control = PPControlModel(PPModelConfig(fill_words=1))
+        graph, _ = enumerate_states(control.build())
+        gen = CheckedGenerator(graph, max_instructions_per_trace=50)
+        gen.generate()
+        assert gen.retires > 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 25), st.sampled_from([None, 1, 2, 3, 5, 9]), st.data())
+    def test_field_exact_after_every_retire(self, n, limit, data):
+        edges = [(data.draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+        edges.extend(
+            data.draw(
+                st.lists(
+                    st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                    max_size=2 * n,
+                )
+            )
+        )
+        graph = build_graph(edges, n)
+        cost = data.draw(st.sampled_from([None, lambda e: 1 + e.src % 3]))
+        kwargs = {"max_instructions_per_trace": limit}
+        if cost is not None:
+            kwargs["instruction_cost"] = cost
+        gen = CheckedGenerator(graph, **kwargs)
+        tours = gen.generate()
+        reference = TourGenerator(graph, **kwargs).generate()
+        assert tour_dump(tours) == tour_dump(reference)
+        if gen._dist is not None:
+            assert all(d >= gen._inf for d in gen._dist)
 
 
 class TestObservability:
@@ -190,10 +262,12 @@ class TestObservability:
         idx = self.metrics_for(IndexedTourGenerator, graph)
         # Flushed unconditionally so dashboards always see the series.
         names = idx.counter_names()
-        assert "tour.explore_pruned" in names
+        assert "tour.field_repairs" in names
         assert "tour.explore_short_circuits" in names
         assert "tour.index_rebuilds" in names
-        assert idx.counter_value("tour.index_rebuilds") >= 1
+        assert "tour.explore_pruned" not in names
+        # The field is built from scratch once, then only repaired.
+        assert idx.counter_value("tour.index_rebuilds") == 1
 
 
 class TestUnreachable:
