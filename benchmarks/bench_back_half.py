@@ -41,6 +41,7 @@ from repro.obs import bench
 from repro.pp.fsm_model import PPControlModel, PPModelConfig
 from repro.tour import IndexedTourGenerator, TourGenerator
 from repro.vectors import TransitionEventMemo, VectorGenerator, pp_instruction_cost
+from tests.test_back_half import PreMemoVectorGenerator
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCH_OUT = REPO_ROOT / "BENCH_backhalf.json"
@@ -104,11 +105,10 @@ def test_back_half_speedup(benchmark):
     tours = list(idx_tours)
 
     # --- Phase 2: vectors ----------------------------------------------
-    # Baseline: the pre-memo path (two model replays per traversed arc).
+    # Baseline: the pre-memo path (two model replays per traversed arc),
+    # a test-side oracle since the product generator always memoizes.
     base_seconds, base_traces = _best_of(
-        lambda: VectorGenerator(
-            control, graph, seed=SEED, memoize=False
-        ).generate(tours)
+        lambda: PreMemoVectorGenerator(control, graph, seed=SEED).generate(tours)
     )
     base_dump = pickle.dumps(base_traces.traces)
 

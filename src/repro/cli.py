@@ -17,10 +17,7 @@ persists the enumerated state graph as JSON for reuse.  ``--jobs`` shards
 enumeration and trace simulation across worker processes; ``--cache-dir``
 persists the expensive pipeline artifacts (state graph, tours, traces) so
 repeat runs skip straight to simulation, and ``--no-cache`` forces a
-rebuild that refreshes the stored entry.  ``--kernel interpreted``
-switches enumeration off the compiled transition kernel and onto the
-fully validated reference path (bit-identical output, several times
-slower) -- the debugging escape hatch.
+rebuild that refreshes the stored entry.
 
 Observability: ``--trace-out`` writes a Chrome ``trace_event`` file (open
 in chrome://tracing or Perfetto; use a ``.jsonl`` suffix to stream the raw
@@ -90,7 +87,6 @@ from typing import List, Optional
 from repro.bugs import BUGS
 from repro.core.report import format_campaign_table
 from repro.enumeration import (
-    KERNEL_MODES,
     StateGraph,
     enumerate_states,
     enumerate_states_parallel,
@@ -188,16 +184,6 @@ def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes for enumeration and trace "
                              "simulation (0 = all CPUs)")
-
-
-def _add_kernel_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--kernel", choices=list(KERNEL_MODES),
-                        default="compiled",
-                        help="transition kernel for enumeration: 'compiled' "
-                             "precompiles choice tables and the state codec "
-                             "(default); 'interpreted' is the fully "
-                             "validated reference path.  Both produce "
-                             "bit-identical graphs")
 
 
 def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
@@ -454,13 +440,11 @@ def cmd_enumerate(args) -> int:
                 graph, stats = enumerate_states_parallel(
                     model, jobs=jobs, obs=obs,
                     checkpoint=checkpoint, resume=args.resume, budget=budget,
-                    kernel=args.kernel,
                 )
             else:
                 graph, stats = enumerate_states(
                     model, obs=obs,
                     checkpoint=checkpoint, resume=args.resume, budget=budget,
-                    kernel=args.kernel,
                 )
     print(stats.format_table())
     _print_resilience_status(stats)
@@ -473,7 +457,7 @@ def cmd_enumerate(args) -> int:
         run_report = RunReport.from_observer(
             "enumerate", observer,
             config={**_model_config_dict(args),
-                    "jobs": args.jobs, "kernel": args.kernel},
+                    "jobs": args.jobs},
             enumeration=dataclasses.asdict(stats),
         )
     _finish_observer(args, observer, run_report)
@@ -521,7 +505,6 @@ def cmd_validate(args) -> int:
         checkpoint_dir=args.checkpoint_dir,
         checkpoint_every=args.checkpoint_every,
         budget=_budget(args),
-        kernel=args.kernel,
         incremental=args.incremental,
     )
     with obs.span("cli.validate"):
@@ -554,8 +537,7 @@ def cmd_validate(args) -> int:
             command="validate",
             config={**_model_config_dict(args),
                     "limit": args.limit, "seed": args.seed,
-                    "jobs": args.jobs, "kernel": args.kernel,
-                    "bugs": args.bug or []},
+                    "jobs": args.jobs, "bugs": args.bug or []},
             cache=pipeline.cache_info,
         )
     _finish_observer(args, observer, run_report)
@@ -584,7 +566,6 @@ def cmd_campaign(args) -> int:
                 checkpoint_every=args.checkpoint_every,
                 budget=_budget(args),
                 resume=args.resume,
-                kernel=args.kernel,
                 incremental=args.incremental,
             )
         _print_cache_status(campaign.pipeline)
@@ -602,7 +583,7 @@ def cmd_campaign(args) -> int:
             command="campaign",
             config={**_model_config_dict(args),
                     "limit": args.limit, "seed": args.seed,
-                    "jobs": args.jobs, "kernel": args.kernel},
+                    "jobs": args.jobs},
             cache=campaign.pipeline.cache_info,
         )
     _finish_observer(args, observer, run_report)
@@ -878,7 +859,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="enumerate the PP control state graph")
     _add_model_flags(p)
     _add_jobs_flag(p)
-    _add_kernel_flag(p)
     _add_obs_flags(p)
     _add_resilience_flags(p)
     p.add_argument("--graph-out", help="write the state graph as JSON")
@@ -894,7 +874,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="run the full validation pipeline")
     _add_model_flags(p)
     _add_jobs_flag(p)
-    _add_kernel_flag(p)
     _add_cache_flags(p)
     _add_obs_flags(p)
     _add_resilience_flags(p)
@@ -909,7 +888,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("campaign", help="Table 2.1: all bugs x all methods")
     _add_model_flags(p)
     _add_jobs_flag(p)
-    _add_kernel_flag(p)
     _add_cache_flags(p)
     _add_obs_flags(p)
     _add_resilience_flags(p)

@@ -124,11 +124,6 @@ class ValidationPipeline:
     retry:
         :class:`~repro.resilience.RetryPolicy` for parallel enumeration's
         worker-crash recovery (``jobs > 1`` only).
-    kernel:
-        Transition kernel for enumeration: ``"compiled"`` (default) or
-        ``"interpreted"`` (see :mod:`repro.enumeration.kernel`).  Both
-        produce bit-identical graphs, so the kernel is deliberately *not*
-        part of the artifact cache key -- cached builds are shared.
     edits:
         Ordered :class:`~repro.incremental.ModelEdit` rewrites layered on
         the control model (see :mod:`repro.incremental.edits`).  Their
@@ -161,7 +156,6 @@ class ValidationPipeline:
         checkpoint_every: int = 1,
         budget: Optional[Budget] = None,
         retry: Optional[RetryPolicy] = None,
-        kernel: str = "compiled",
         edits: Sequence[ModelEdit] = (),
         incremental: bool = True,
         phase_code_overrides: Optional[Dict[str, str]] = None,
@@ -178,7 +172,6 @@ class ValidationPipeline:
         self.checkpoint_every = checkpoint_every
         self.budget = budget
         self.retry = retry
-        self.kernel = kernel
         self.edits = tuple(edits)
         self.incremental = incremental
         self.phase_code_overrides = dict(phase_code_overrides or {})
@@ -488,7 +481,6 @@ class ValidationPipeline:
                         budget=self.budget,
                         retry=self.retry,
                         faults=faults,
-                        kernel=self.kernel,
                         pool=self.worker_pool(jobs),
                     )
                 else:
@@ -500,7 +492,6 @@ class ValidationPipeline:
                         resume=resume,
                         budget=self.budget,
                         faults=faults,
-                        kernel=self.kernel,
                     )
             if cache is not None and not stats.truncated:
                 cache.store(
@@ -800,7 +791,6 @@ class ValidationPipeline:
             graph, stats, counts = incremental_enumerate(
                 model, old_graph, dirty,
                 record_all_conditions=self.record_all_conditions,
-                kernel=self.kernel,
                 obs=obs,
             )
         report.region_states = counts["region_states"]

@@ -7,7 +7,6 @@ which transition tours are derived.
 
 from repro.enumeration.graph import StateGraph, Edge
 from repro.enumeration.kernel import (
-    KERNEL_MODES,
     CompiledKernel,
     InterpretedKernel,
     compile_model,
@@ -27,7 +26,6 @@ from repro.enumeration.analysis import (
 )
 
 __all__ = [
-    "KERNEL_MODES",
     "CompiledKernel",
     "InterpretedKernel",
     "compile_model",

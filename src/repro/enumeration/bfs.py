@@ -14,10 +14,11 @@ Transition kernels
 ------------------
 The hot loop -- expanding one state into its ordered successor list --
 is delegated to a *transition kernel* (:mod:`repro.enumeration.kernel`).
-``kernel="compiled"`` (the default) precompiles the model's choice
-tables and state codec and skips per-transition re-validation; it
-produces a graph **bit-identical** to ``kernel="interpreted"``, the
-fully validated reference path kept as a debugging escape hatch.
+The compiled kernel precompiles the model's choice tables and state
+codec and skips per-transition re-validation; it produces a graph
+**bit-identical** to the fully validated
+:class:`~repro.enumeration.kernel.InterpretedKernel`, the reference
+oracle that tests inject through ``kernel=``.
 
 Resilience
 ----------
@@ -92,7 +93,7 @@ def enumerate_states(
     resume=None,
     budget: Optional[Budget] = None,
     faults: Optional[FaultPlan] = None,
-    kernel: KernelSpec = "compiled",
+    kernel: KernelSpec = None,
 ) -> Tuple[StateGraph, EnumerationStats]:
     """Fully enumerate ``model`` from reset; return its state graph and stats.
 
@@ -133,11 +134,11 @@ def enumerate_states(
         Deterministic :class:`~repro.resilience.FaultPlan` for the chaos
         suite (the sequential engine honours the SIGINT-at-wave fault).
     kernel:
-        Transition kernel: ``"compiled"`` (default; precompiled choice
-        tables + specialized codec + reduced validation), ``"interpreted"``
-        (the fully validated reference path), or a pre-built kernel object
-        from :mod:`repro.enumeration.kernel`.  Both modes produce
-        bit-identical graphs and identical ``enum.*`` counter totals.
+        Test seam: ``None`` (the model's cached compiled kernel) or a
+        kernel object from :mod:`repro.enumeration.kernel`, such as the
+        :class:`~repro.enumeration.kernel.InterpretedKernel` oracle.
+        Every kernel produces a bit-identical graph and identical
+        ``enum.*`` counter totals.
     """
     obs = resolve(obs)
     kern = resolve_kernel(model, kernel)

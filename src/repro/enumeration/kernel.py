@@ -4,10 +4,12 @@ Both enumeration engines spend nearly all their time computing, for one
 packed state key, the ordered list of ``(condition, packed_successor)``
 pairs.  A *kernel* owns exactly that computation:
 
-- :class:`InterpretedKernel` is the reference path: unpack the state
+- :class:`InterpretedKernel` is the reference oracle: unpack the state
   dict, re-enumerate choices through :meth:`SyncModel.enumerate_choices`,
   step through :meth:`SyncModel.step` (full per-transition domain and
-  completeness validation), pack through :class:`StateCodec`.
+  completeness validation), pack through :class:`StateCodec`.  No
+  product surface selects it; tests and benchmarks construct it and
+  pass it to an engine's ``kernel=`` seam.
 - :class:`CompiledKernel` (built by :func:`compile_model`) specializes
   everything that depends only on the declaration: per-guard-signature
   choice tables, closure-based pack/unpack with precomputed shifts and
@@ -45,9 +47,6 @@ from typing import Dict, Iterable, Iterator, Optional, Tuple, Union
 from repro.smurphi.compiled import ChoiceTables, CompiledStateCodec
 from repro.smurphi.model import SyncModel
 from repro.smurphi.state import StateCodec
-
-#: Kernel selector values accepted by the engines and the CLI.
-KERNEL_MODES = ("compiled", "interpreted")
 
 #: One expanded transition: (condition tuple, packed successor key).
 Transition = Tuple[Tuple, int]
@@ -207,7 +206,7 @@ class CompiledKernel:
 
 #: Anything an engine accepts as its ``kernel=`` argument.
 Kernel = Union[InterpretedKernel, CompiledKernel]
-KernelSpec = Union[str, None, Kernel]
+KernelSpec = Optional[Kernel]
 
 
 def compile_model(
@@ -234,21 +233,18 @@ def compile_model(
     return kernel
 
 
-def resolve_kernel(model: SyncModel, kernel: KernelSpec = "compiled") -> Kernel:
-    """Normalize an engine's ``kernel=`` argument to a kernel object.
+def resolve_kernel(model: SyncModel, kernel: KernelSpec = None) -> Kernel:
+    """Normalize an engine's ``kernel=`` test seam to a kernel object.
 
-    ``"compiled"`` (or ``None``) compiles/reuses the model's cached
-    compiled kernel; ``"interpreted"`` builds the reference kernel; a
-    kernel instance (e.g. a ``strict=True`` compiled kernel) passes
-    through so tests can inject configured kernels.
+    ``None`` compiles/reuses the model's cached compiled kernel; a kernel
+    instance (the :class:`InterpretedKernel` oracle, a ``strict=True``
+    compiled kernel) passes through so tests can inject it.
     """
-    if kernel is None or kernel == "compiled":
+    if kernel is None:
         return compile_model(model)
-    if kernel == "interpreted":
-        return InterpretedKernel(model)
     if isinstance(kernel, str):
         raise ValueError(
-            f"unknown kernel {kernel!r}; expected one of {KERNEL_MODES}"
+            f"unknown kernel {kernel!r}: pass None or a kernel object"
         )
     return kernel
 

@@ -21,29 +21,31 @@ Dispatch strategy (the perf substrate)
 Workers come from a persistent :class:`~repro.enumeration.pool.WorkerPool`
 shared across waves and (when the pipeline passes one in) across phases,
 so pool spin-up is paid once per model context rather than per call.  Per
-wave the coordinator picks the cheapest dispatch that is still correct:
+wave the coordinator picks one of two ways to expand it:
 
-- **In-process** below :data:`DISPATCH_MIN_STATES` frontier states: tiny
-  waves (every model's first few waves, and small models entirely) are
-  expanded directly by the coordinator -- the round-trip would cost more
-  than the work, and this is what makes small models *never* regress.
-- **Packed shared-memory spans** (compiled kernels): the wave's keys are
-  bit-packed into one ``multiprocessing.shared_memory`` segment
+- **Packed shared-memory spans**, when the pool is available, the wave
+  has at least :data:`DISPATCH_MIN_STATES` states and the kernel can pack
+  it (it has ``expand_masked`` and at most 64 guards): the wave's keys
+  are bit-packed into one ``multiprocessing.shared_memory`` segment
   (:class:`~repro.enumeration.frontier.SharedFrontier`); each worker gets
   ``(segment, start, stop)`` -- a few dozen bytes -- decodes its span,
   and returns a packed ``uint64`` successor buffer plus one guard-mask
   word per state.  The coordinator recovers the condition tuples from
   its own kernel's choice tables (mask -> signature -> table), so **no
-  condition tuple and no successor list is ever pickled**.
-- **Pickled shards** (interpreted kernels, chaos fault plans): the
-  original list-of-ints path, kept as the fully-general fallback and as
-  the stable target surface for the fault-injection chaos suite.
+  condition tuple and no successor list is ever pickled**.  This is
+  also where the chaos suite's :class:`~repro.resilience.FaultPlan`
+  strikes, by ``(wave, span, attempt)``.
+- **In-process** for every other wave: tiny waves (every model's first
+  few waves, and small models entirely) -- the round-trip would cost
+  more than the work, which is what makes small models *never* regress
+  -- and every wave of a kernel that cannot pack (the
+  :class:`~repro.enumeration.kernel.InterpretedKernel` oracle).
 
 Determinism guarantee
 ---------------------
 Sequential BFS pops states in strictly increasing id order (the frontier is
 FIFO and ids are assigned at discovery).  Wave-synchronous processing
-preserves that order, and span/shard results are always replayed in
+preserves that order, and span results are always replayed in
 submission order, so state ids, edge order, recorded conditions, the
 ``max_states`` cap and the first :class:`InvariantViolation` are all
 **identical** to the sequential path -- in both ``record_all_conditions``
@@ -128,9 +130,9 @@ from repro.smurphi.model import SyncModel
 logger = logging.getLogger("repro.enumeration")
 
 #: Frontier size below which the coordinator expands in-process instead of
-#: dispatching to workers.  Calibrated so the round-trip (even a packed
-#: one) is always amortized by a few thousand expansions, while the golden
-#: test models' larger waves still exercise the dispatch paths.
+#: dispatching to workers.  Calibrated so the packed round-trip is always
+#: amortized by a few thousand expansions, while the golden test models'
+#: larger waves still exercise the dispatch path.
 DISPATCH_MIN_STATES = 192
 
 #: Minimum frontier states per packed span: spans this size keep every
@@ -138,15 +140,12 @@ DISPATCH_MIN_STATES = 192
 #: large waves (up to jobs*4 spans) so a skewed span cannot stall a wave.
 _MIN_SPAN_STATES = 64
 
-#: Model published by the coordinator immediately before the pool forks;
-#: worker processes inherit it (closures and all) without pickling.
-_WORKER_MODEL: Optional[SyncModel] = None
-#: Transition kernel published alongside the model.  The coordinator
-#: compiles it ONCE before the pool forks, so every worker inherits the
+#: Transition kernel published by the coordinator immediately before the
+#: pool forks.  It is compiled ONCE, so every worker inherits the
 #: ready-built choice tables / codec closures (and any warm successor
-#: memo) instead of compiling per shard or per process.
+#: memo) instead of compiling per span or per process.
 _WORKER_KERNEL: Optional[Kernel] = None
-#: Whether workers should collect per-shard metrics snapshots (set by the
+#: Whether workers should collect per-span metrics snapshots (set by the
 #: coordinator before the fork; False keeps the no-sink path overhead-free).
 _WORKER_COLLECT: bool = False
 #: Fault plan inherited by workers (chaos testing only; None in production).
@@ -154,36 +153,22 @@ _WORKER_FAULTS: Optional[FaultPlan] = None
 
 
 def _expand_batch(
-    packed_keys: Sequence[int],
-    wave: int = 0,
-    shard: int = 0,
-    attempt: int = 0,
+    kern: Kernel, packed_keys: Sequence[int], collect: bool
 ) -> Tuple[List[List[Tuple[Tuple, int]]], Optional[Dict[str, Any]]]:
-    """Expand a batch of states; one row of (condition, packed_dst) per state.
+    """Expand a wave in the coordinator; one row of (condition, packed_dst)
+    per state.
 
-    Rows preserve the model's choice enumeration order, which the
-    coordinator relies on to replay transitions canonically.  When metric
-    collection is on, the second element is a worker-local
-    :class:`~repro.obs.metrics.MetricsRegistry` snapshot (per-shard timing
-    and counts, labeled by worker pid) for the coordinator to merge.
-
-    This is the fully-general expansion job: the pickled-shard dispatch
-    path for interpreted kernels and fault plans, the in-process path for
-    small waves, and the degraded-mode workhorse (fault hooks stay inert
-    outside real workers, so degraded expansion can never kill the
-    coordinator).
+    Rows preserve the model's choice enumeration order, which the replay
+    loop relies on.  When ``collect`` is on, the second element is a
+    :class:`~repro.obs.metrics.MetricsRegistry` snapshot with the same
+    ``enum.shard.*`` shape a worker span reports, labeled by the
+    coordinator's pid.  No kernel deltas: the coordinator's kernel
+    advance is reported once by the final :func:`flush_kernel_metrics`.
     """
-    global _WORKER_KERNEL
-    if in_worker() and _WORKER_FAULTS is not None:
-        _WORKER_FAULTS.worker_hook(wave, shard, attempt)
     started = time.perf_counter()
-    if _WORKER_KERNEL is None:
-        _WORKER_KERNEL = resolve_kernel(_WORKER_MODEL)
-    kern = _WORKER_KERNEL
-    kernel_before = kern.counters()
     expand = kern.expand
     rows: List[List[Tuple[Tuple, int]]] = [list(expand(key)) for key in packed_keys]
-    if not _WORKER_COLLECT:
+    if not collect:
         return rows, None
     registry = MetricsRegistry()
     worker = str(os.getpid())
@@ -192,39 +177,30 @@ def _expand_batch(
     registry.observe(
         "enum.shard.seconds", time.perf_counter() - started, worker=worker
     )
-    # Kernel deltas only from real workers: in-process runs share the
-    # coordinator's kernel object, whose advance the final
-    # flush_kernel_metrics already reports -- counting both would break
-    # the expansions == num_states identity.
-    if in_worker():
-        for name, value in kern.counters().items():
-            delta = value - kernel_before.get(name, 0)
-            if delta:
-                registry.inc(f"enum.kernel.{name}", delta, worker=worker)
     return rows, registry.snapshot()
 
 
-def _expand_shard(payload: Tuple[List[int], int, int], attempt: int = 0):
-    """Pool task wrapper for the pickled-shard path: payload + attempt."""
-    packed_keys, wave, shard = payload
-    return _expand_batch(packed_keys, wave, shard, attempt)
-
-
 def _expand_span_packed(
-    payload: Tuple[str, int, int, int], attempt: int = 0
+    payload: Tuple[str, int, int, int, int, int], attempt: int = 0
 ) -> Tuple[array, array, Optional[Dict[str, Any]]]:
     """Expand one span of a shared-memory packed frontier.
 
-    ``payload`` is ``(segment_name, total_states, start, stop)`` -- the
-    whole coordinator->worker message is these few dozen bytes.  Returns
-    ``(masks, successors, metrics)`` where ``masks`` holds one guard-
-    signature bitmask per source state (in span order) and ``successors``
-    is the flat packed key buffer of every transition in expansion order.
-    Mask plus successor count are fully redundant with the coordinator's
-    own choice tables, which is what lets this path ship zero condition
-    tuples.  Pure: safe to retry on a fresh worker generation.
+    ``payload`` is ``(segment_name, total_states, start, stop, wave,
+    span)`` -- the whole coordinator->worker message is these few dozen
+    bytes; ``(wave, span, attempt)`` is the target a chaos
+    :class:`~repro.resilience.FaultPlan` strikes (its hooks stay inert
+    outside real workers, so degraded in-process expansion can never
+    kill the coordinator).  Returns ``(masks, successors, metrics)``
+    where ``masks`` holds one guard-signature bitmask per source state
+    (in span order) and ``successors`` is the flat packed key buffer of
+    every transition in expansion order.  Mask plus successor count are
+    fully redundant with the coordinator's own choice tables, which is
+    what lets this path ship zero condition tuples.  Pure: safe to retry
+    on a fresh worker generation.
     """
-    name, total, start, stop = payload
+    name, total, start, stop, wave, span = payload
+    if _WORKER_FAULTS is not None and in_worker():
+        _WORKER_FAULTS.worker_hook(wave, span, attempt)
     started = time.perf_counter()
     kern = _WORKER_KERNEL
     assert kern is not None, "packed dispatch requires an inherited kernel"
@@ -255,20 +231,16 @@ def _expand_span_packed(
     registry.observe(
         "enum.shard.seconds", time.perf_counter() - started, worker=worker
     )
-    # Same coordinator-vs-worker rule as _expand_batch: degraded
-    # in-process execution must not double-report the shared kernel.
+    # Kernel deltas only from real workers: degraded in-process execution
+    # shares the coordinator's kernel, whose advance the final
+    # flush_kernel_metrics already reports -- counting both would break
+    # the expansions == num_states identity.
     if in_worker():
         for cname, value in kern.counters().items():
             delta = value - kernel_before.get(cname, 0)
             if delta:
                 registry.inc(f"enum.kernel.{cname}", delta, worker=worker)
     return masks, succs, registry.snapshot()
-
-
-def _shard(items: Sequence, num_shards: int) -> List[List]:
-    """Split ``items`` into at most ``num_shards`` contiguous, ordered chunks."""
-    size = max(1, -(-len(items) // num_shards))
-    return [list(items[i : i + size]) for i in range(0, len(items), size)]
 
 
 def _span_bounds(count: int, jobs: int) -> List[Tuple[int, int]]:
@@ -308,7 +280,7 @@ def enumerate_states_parallel(
     budget: Optional[Budget] = None,
     retry: Optional[RetryPolicy] = None,
     faults: Optional[FaultPlan] = None,
-    kernel: KernelSpec = "compiled",
+    kernel: KernelSpec = None,
     pool: Optional[WorkerPool] = None,
 ) -> Tuple[StateGraph, EnumerationStats]:
     """Enumerate ``model`` with ``jobs`` worker processes.
@@ -339,10 +311,12 @@ def enumerate_states_parallel(
     for in-process waves), recovery counters (``enum.shards_retried`` /
     ``enum.pool_respawns``) and pool lifecycle counters (``enum.pool.*``).
 
-    ``kernel`` selects the transition kernel exactly as on the sequential
-    engine.  The coordinator resolves (compiles) the kernel once, before
-    the pool is created, so forked workers inherit the ready-built kernel
-    -- one compilation per run, not per worker or per shard.
+    ``kernel`` is the same test seam as on the sequential engine.  The
+    coordinator resolves (compiles) the kernel once, before the pool is
+    created, so forked workers inherit the ready-built kernel -- one
+    compilation per run, not per worker or per span.  A kernel that
+    cannot pack a wave (the interpreted oracle) expands every wave
+    in-process, so no worker is ever forked for it.
     """
     obs = resolve(obs)
     if jobs is None:
@@ -361,7 +335,7 @@ def enumerate_states_parallel(
             kernel=kernel,
         )
 
-    global _WORKER_MODEL, _WORKER_COLLECT, _WORKER_FAULTS, _WORKER_KERNEL
+    global _WORKER_COLLECT, _WORKER_FAULTS, _WORKER_KERNEL
     kern = resolve_kernel(model, kernel)
     kernel_before = kern.counters()
     started = time.perf_counter()
@@ -404,7 +378,6 @@ def enumerate_states_parallel(
     # Publish the fork-inherited worker globals BEFORE declaring the pool
     # context: workers fork lazily at the first dispatch and must inherit
     # exactly this state.
-    _WORKER_MODEL = model
     _WORKER_KERNEL = kern
     _WORKER_COLLECT = obs.enabled
     _WORKER_FAULTS = faults
@@ -426,13 +399,9 @@ def enumerate_states_parallel(
     retried_before, respawns_before = pool.recovery_snapshot()
 
     # Packed dispatch needs a compiled kernel (mask+table reconstruction)
-    # whose guard signature fits one 64-bit mask word; fault plans target
-    # (wave, shard, attempt) through the pickled-shard path, so chaos runs
-    # keep the legacy dispatch byte-for-byte.
+    # whose guard signature fits one 64-bit mask word.
     packed_ok = (
-        faults is None
-        and hasattr(kern, "expand_masked")
-        and len(kern.tables.guards) <= 64
+        hasattr(kern, "expand_masked") and len(kern.tables.guards) <= 64
     )
     fcodec = FrontierCodec(kern.codec.total_bits) if packed_ok else None
     mask_conditions: Dict[int, Tuple[Tuple, ...]] = {}
@@ -452,23 +421,16 @@ def enumerate_states_parallel(
         while wave:
             wave_started = time.perf_counter()
             keys = [graph.state_key(src) for src in wave]
-            dispatch = pool.available and len(keys) >= DISPATCH_MIN_STATES
+            dispatch = (
+                packed_ok
+                and pool.available
+                and len(keys) >= DISPATCH_MIN_STATES
+            )
             rows: List[List[Tuple[Tuple, int]]] = []
-            if faults is not None or (dispatch and not packed_ok):
-                # Oversplit so a skewed shard cannot stall the whole wave.
-                shards = _shard(keys, jobs * 4)
-                payloads = [(shard, waves, i) for i, shard in enumerate(shards)]
-                num_shards = len(shards)
-                for shard_rows, shard_metrics in pool.run_tasks(
-                    _expand_shard, payloads, timeout=pool.policy.shard_timeout
-                ):
-                    rows.extend(shard_rows)
-                    obs.merge(shard_metrics)
-            elif not dispatch:
-                # Below the dispatch threshold (or pool degraded): expand
+            if not dispatch:
+                # Small wave, unpackable kernel or degraded pool: expand
                 # in-process as one coordinator-side shard.
-                shard_rows, shard_metrics = _expand_batch(keys, waves, 0, 0)
-                rows = shard_rows
+                rows, shard_metrics = _expand_batch(kern, keys, obs.enabled)
                 obs.merge(shard_metrics)
                 num_shards = 1
             else:
@@ -476,8 +438,8 @@ def enumerate_states_parallel(
                 try:
                     spans = _span_bounds(len(keys), jobs)
                     payloads = [
-                        (frontier.name, len(keys), start, stop)
-                        for start, stop in spans
+                        (frontier.name, len(keys), start, stop, waves, span)
+                        for span, (start, stop) in enumerate(spans)
                     ]
                     num_shards = len(spans)
                     pool.note_dispatch(frontier.nbytes)
@@ -573,7 +535,6 @@ def enumerate_states_parallel(
         elif faults is not None:
             # Never let a fault-laden worker generation outlive its run.
             pool.retire()
-        _WORKER_MODEL = None
         _WORKER_COLLECT = False
         _WORKER_FAULTS = None
         _WORKER_KERNEL = None

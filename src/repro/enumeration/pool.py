@@ -2,7 +2,7 @@
 
 Before this module, every parallel phase paid its own pool: enumeration
 built a ``ProcessPoolExecutor`` per call, vector generation and trace
-comparison each built a ``multiprocessing.Pool`` per call.  At small
+comparison each built a per-call process pool.  At small
 scale the spawn cost alone inverted the speedup (jobs=4 slower than
 jobs=1).  :class:`WorkerPool` is the shared substrate: one pool object
 per pipeline, living across BFS waves *and* across phases, with the

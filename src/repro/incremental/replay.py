@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.enumeration.bfs import InvariantViolation, _approx_memory
 from repro.enumeration.graph import StateGraph
-from repro.enumeration.kernel import KernelSpec, resolve_kernel
+from repro.enumeration.kernel import compile_model
 from repro.enumeration.stats import EnumerationStats
 from repro.obs.observer import Observer, resolve
 from repro.smurphi.model import SyncModel
@@ -42,7 +42,6 @@ def incremental_enumerate(
     old_graph: StateGraph,
     dirty_old: List[bool],
     record_all_conditions: bool = False,
-    kernel: KernelSpec = "compiled",
     obs: Optional[Observer] = None,
 ) -> Tuple[StateGraph, EnumerationStats, Dict[str, int]]:
     """Enumerate ``model`` reusing ``old_graph`` for clean states.
@@ -54,7 +53,7 @@ def incremental_enumerate(
     ``model`` (see module docstring).
     """
     obs = resolve(obs)
-    kern = resolve_kernel(model, kernel)
+    kern = compile_model(model)
     started = time.perf_counter()
 
     graph = StateGraph(model.choice_names)

@@ -3,9 +3,10 @@
 A :class:`FaultPlan` scripts failures at exact, reproducible points so the
 chaos suite (``tests/test_resilience.py``) can prove every recovery path:
 
-- **kill a worker** expanding shard S of wave W (``os._exit`` inside the
-  forked worker -- indistinguishable from an OOM kill);
-- **stall a shard** past the coordinator's per-shard timeout;
+- **kill a worker** expanding packed span S of wave W (``os._exit``
+  inside the forked worker -- indistinguishable from an OOM kill); only
+  waves the parallel engine dispatches have spans to strike;
+- **stall a span** past the coordinator's per-shard timeout;
 - **deliver SIGINT** to the coordinator at a wave boundary, after the
   checkpoint for that boundary is written (a scripted Ctrl-C);
 - **corrupt on-disk artifacts** (cache pickles, manifests, checkpoints)
@@ -57,7 +58,7 @@ class FaultPlan:
     slow_every_wave: float = 0.0
 
     def worker_hook(self, wave: int, shard: int, attempt: int) -> None:
-        """Run inside a pool worker at the start of shard expansion."""
+        """Run inside a pool worker at the start of a span's expansion."""
         if self.slow_shard == (wave, shard) and attempt < self.slow_attempts:
             time.sleep(self.slow_seconds)
         if self.kill_shard == (wave, shard) and attempt < self.kill_attempts:

@@ -120,7 +120,7 @@ class ValidationServer:
             "retried": 0, "degraded": 0, "shed": 0, "cancelled": 0,
             "recovered": 0,
         }
-        # A restarted daemon may hold a code digest memoized by a parent
+        # A restarted daemon may hold a code digest cached by a parent
         # process from *before* the deploy that restarted it (fork-based
         # supervisors re-exec nothing).  Refresh it before replaying the
         # journal so every recovered job keys against the code actually

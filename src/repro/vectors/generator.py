@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.enumeration.graph import Edge, StateGraph
+from repro.enumeration.parallel import make_worker_pool
 from repro.enumeration.pool import WorkerPool
 from repro.obs.observer import Observer, resolve
 from repro.pp.fsm_model import PPControlModel
@@ -289,7 +290,7 @@ _PARALLEL_GENERATOR: Optional["VectorGenerator"] = None
 _PARALLEL_EPOCH = 0
 
 
-def _publish_generator(generator: "VectorGenerator") -> int:
+def _publish_generator(generator: Optional["VectorGenerator"]) -> int:
     global _PARALLEL_GENERATOR, _PARALLEL_EPOCH
     if _PARALLEL_GENERATOR is not generator:
         _PARALLEL_EPOCH += 1
@@ -297,18 +298,17 @@ def _publish_generator(generator: "VectorGenerator") -> int:
     return _PARALLEL_EPOCH
 
 
-def _vector_trace_job(payload: Tuple[int, Tour]) -> Tuple[int, "TestVectorTrace"]:
-    index, tour = payload
-    generator = _PARALLEL_GENERATOR
-    rng = random.Random(f"{generator.seed}:{index}")
-    return index, generator._trace_from_tour(tour, rng)
-
-
 def _vector_chunk_job(
     payload: Sequence[Tuple[int, Tour]], attempt: int = 0
 ) -> List[Tuple[int, "TestVectorTrace"]]:
     """Pool task: one chunk of indexed tours (pure -- safe to retry)."""
-    return [_vector_trace_job(item) for item in payload]
+    generator = _PARALLEL_GENERATOR
+    return [
+        (index, generator._trace_from_tour(
+            tour, random.Random(f"{generator.seed}:{index}")
+        ))
+        for index, tour in payload
+    ]
 
 
 class VectorGenerator:
@@ -327,10 +327,6 @@ class VectorGenerator:
         A shared :class:`TransitionEventMemo` (e.g. the one the tour
         phase's cost function already filled).  ``None`` creates a
         private one.
-    memoize:
-        ``False`` disables memoization entirely and replays transitions
-        exactly the way the pre-memo generator did (``transition_events``
-        then ``step`` per arc) -- kept as the benchmark baseline.
     """
 
     def __init__(
@@ -340,19 +336,13 @@ class VectorGenerator:
         seed: int = 0,
         address_pool: Sequence[int] = DEFAULT_ADDRESS_POOL,
         memo: Optional[TransitionEventMemo] = None,
-        memoize: bool = True,
     ):
         self.model = model
         self.graph = graph
         self.codec = StateCodec(model.state_vars)
         self.seed = seed
         self.address_pool = list(address_pool)
-        if memo is not None:
-            self.memo: Optional[TransitionEventMemo] = memo
-        elif memoize:
-            self.memo = TransitionEventMemo(model, graph)
-        else:
-            self.memo = None
+        self.memo = memo if memo is not None else TransitionEventMemo(model, graph)
 
     # -- public API -------------------------------------------------------------
 
@@ -371,11 +361,10 @@ class VectorGenerator:
         worker count (golden-tested); only wall clock changes.  Falls
         back to sequential where fork is unavailable.
 
-        ``pool`` accepts the pipeline's persistent
-        :class:`~repro.enumeration.pool.WorkerPool`; workers then come
-        from (or are re-forked into) the shared pool instead of a
-        per-call ``multiprocessing.Pool``, and dead-worker recovery
-        applies (chunks are pure, so retries are safe).
+        Workers come from a :class:`~repro.enumeration.pool.WorkerPool`:
+        ``pool`` (the pipeline's persistent pool) when given, otherwise a
+        transient one shut down before returning.  Either way dead-worker
+        recovery applies (chunks are pure, so retries are safe).
         """
         obs = resolve(obs)
         started = time.perf_counter()
@@ -385,12 +374,22 @@ class VectorGenerator:
             workers = 1
         # Gauge before generating: sequential and parallel runs report the
         # same value (worker-side memo fills are invisible to the parent).
-        obs.gauge("vectors.memo_entries", len(self.memo) if self.memo is not None else 0)
+        obs.gauge("vectors.memo_entries", len(self.memo))
         obs.gauge("vectors.workers", max(workers, 1))
-        if workers > 1 and pool is not None:
-            traces = self._generate_with_pool(tours, pool, obs)
-        elif workers > 1:
-            traces = self._generate_parallel(tours, workers, obs)
+        if workers > 1:
+            # No pipeline pool to borrow: a transient one, gone before we
+            # return.
+            transient = pool is None
+            if transient:
+                pool = make_worker_pool(workers, obs=obs)
+            try:
+                traces = self._generate_with_pool(tours, pool, obs)
+            finally:
+                if transient:
+                    pool.shutdown()
+                    # No live worker mirrors it any more: drop the
+                    # reference so the graph and memo can be freed.
+                    _publish_generator(None)
         else:
             traces = []
             for i, tour in enumerate(tours):
@@ -433,29 +432,6 @@ class VectorGenerator:
                           workers=pool.jobs)
         return results
 
-    def _generate_parallel(
-        self, tours: List[Tour], workers: int, obs: Optional[Observer] = None
-    ) -> List[TestVectorTrace]:
-        global _PARALLEL_GENERATOR
-        obs = resolve(obs)
-        ctx = multiprocessing.get_context("fork")
-        chunksize = max(1, len(tours) // (workers * 4))
-        results: List[Optional[TestVectorTrace]] = [None] * len(tours)
-        done = 0
-        _PARALLEL_GENERATOR = self
-        try:
-            with ctx.Pool(processes=workers) as pool:
-                for index, trace in pool.imap_unordered(
-                    _vector_trace_job, list(enumerate(tours)), chunksize=chunksize
-                ):
-                    results[index] = trace
-                    done += 1
-                    obs.heartbeat("vectors", traces=done, total=len(tours),
-                                  workers=workers)
-        finally:
-            _PARALLEL_GENERATOR = None
-        return results
-
     def trace_from_edges(
         self, edge_indices: Sequence[int], rng: Optional[random.Random] = None
     ) -> TestVectorTrace:
@@ -467,20 +443,12 @@ class VectorGenerator:
     # -- the mapping --------------------------------------------------------------
 
     def _transition(self, edge_index: int) -> Tuple[List[Tuple], str, bool, bool]:
-        """``(events, src_mem, st_pend_after, advanced)`` for one arc --
-        from the memo when enabled, otherwise replayed the pre-memo way."""
-        if self.memo is not None:
-            events, src_mem, st_pend_after, _, advanced = self.memo.lookup_edge(
-                edge_index
-            )
-            return events, src_mem, st_pend_after, advanced
-        edge = self.graph.edge(edge_index)
-        state = self.codec.unpack(self.graph.state_key(edge.src))
-        choice = dict(zip(self.model.choice_names, edge.condition))
-        events = self.model.transition_events(state, choice)
-        next_state = self.model.step(state, choice)
-        advanced = any(e[0] == "pipe_advance" for e in events)
-        return events, state["mem"], bool(next_state["st_pend"]), advanced
+        """``(events, src_mem, st_pend_after, advanced)`` for one arc,
+        from the shared memo."""
+        events, src_mem, st_pend_after, _, advanced = self.memo.lookup_edge(
+            edge_index
+        )
+        return events, src_mem, st_pend_after, advanced
 
     def _trace_from_tour(self, tour: Tour, rng: random.Random) -> TestVectorTrace:
         trace = TestVectorTrace(edges_traversed=len(tour.edge_indices))

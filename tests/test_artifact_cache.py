@@ -6,7 +6,8 @@ import pickle
 
 import pytest
 
-from repro.core import ArtifactCache, ValidationPipeline, artifact_key, code_version
+from repro.core import ArtifactCache, ValidationPipeline, code_version
+from repro.core.cache import pipeline_phase_keys
 from repro.pp.fsm_model import PPModelConfig
 
 SMALL = dict(model_config=PPModelConfig(fill_words=1), max_instructions_per_trace=300)
@@ -22,20 +23,27 @@ def warm_cache_dir(tmp_path_factory):
 
 class TestKeying:
     def test_key_is_stable(self):
-        assert artifact_key(PPModelConfig(), seed=3) == artifact_key(
+        assert pipeline_phase_keys(PPModelConfig(), seed=3) == pipeline_phase_keys(
             PPModelConfig(), seed=3
         )
 
     def test_key_changes_with_config(self):
-        base = artifact_key(PPModelConfig(fill_words=2))
-        assert artifact_key(PPModelConfig(fill_words=3)) != base
-        assert artifact_key(PPModelConfig(fill_words=2, extra_pipe_stages=1)) != base
+        base = pipeline_phase_keys(PPModelConfig(fill_words=2))["model"]
+        assert pipeline_phase_keys(PPModelConfig(fill_words=3))["model"] != base
+        assert pipeline_phase_keys(
+            PPModelConfig(fill_words=2, extra_pipe_stages=1)
+        )["model"] != base
 
     def test_key_changes_with_flags_and_seed(self):
-        base = artifact_key(PPModelConfig(), seed=0)
-        assert artifact_key(PPModelConfig(), seed=1) != base
-        assert artifact_key(PPModelConfig(), record_all_conditions=True) != base
-        assert artifact_key(PPModelConfig(), max_instructions_per_trace=100) != base
+        # Each input changes the key of the phase it enters at.
+        base = pipeline_phase_keys(PPModelConfig(), seed=0)
+        assert pipeline_phase_keys(PPModelConfig(), seed=1)["traces"] != base["traces"]
+        assert pipeline_phase_keys(
+            PPModelConfig(), record_all_conditions=True
+        )["graph"] != base["graph"]
+        assert pipeline_phase_keys(
+            PPModelConfig(), max_instructions_per_trace=100
+        )["tours"] != base["tours"]
 
     def test_code_version_is_memoized_hex(self):
         first = code_version()
@@ -300,7 +308,7 @@ class TestArtifactKeyEdgeCases:
         from repro.core.cache import config_payload
 
         assert repr(ConfigA()) == repr(ConfigB())
-        assert artifact_key(ConfigA()) != artifact_key(ConfigB())
+        assert pipeline_phase_keys(ConfigA()) != pipeline_phase_keys(ConfigB())
         assert config_payload(ConfigA())["type"] != config_payload(ConfigB())["type"]
 
     def test_same_non_dataclass_type_keys_by_repr(self):
@@ -311,26 +319,8 @@ class TestArtifactKeyEdgeCases:
             def __repr__(self):
                 return f"Config(n={self.n})"
 
-        assert artifact_key(Config(1)) == artifact_key(Config(1))
-        assert artifact_key(Config(1)) != artifact_key(Config(2))
-
-    def test_extra_dict_ordering_is_canonical(self):
-        # json.dumps(sort_keys=True) canonicalizes insertion order; two
-        # logically equal extras must address the same entry.
-        cfg = PPModelConfig(fill_words=1)
-        assert artifact_key(cfg, extra={"a": 1, "b": 2}) == artifact_key(
-            cfg, extra={"b": 2, "a": 1}
-        )
-
-    def test_extra_participates_in_the_key(self):
-        cfg = PPModelConfig(fill_words=1)
-        base = artifact_key(cfg)
-        assert artifact_key(cfg, extra={"variant": "x"}) != base
-        assert artifact_key(cfg, extra={"variant": "y"}) != artifact_key(
-            cfg, extra={"variant": "x"}
-        )
-        # An explicitly empty extra is the same build as no extra at all.
-        assert artifact_key(cfg, extra=None) == base
+        assert pipeline_phase_keys(Config(1)) == pipeline_phase_keys(Config(1))
+        assert pipeline_phase_keys(Config(1)) != pipeline_phase_keys(Config(2))
 
 
 class TestPhaseCodeDigests:

@@ -12,6 +12,7 @@ scale:
   metrics identical to the sequential contract at any jobs/chunksize).
 """
 
+import multiprocessing
 import pickle
 
 import pytest
@@ -50,12 +51,28 @@ def tours(control, graph):
     return list(tour_set)
 
 
+class PreMemoVectorGenerator(VectorGenerator):
+    """The pre-memo replay oracle: ``transition_events`` then ``step`` per
+    traversed arc, bypassing :class:`TransitionEventMemo` entirely.
+
+    The identity reference for the memoized generator here, and the
+    baseline ``benchmarks/bench_back_half.py`` times the memo against.
+    """
+
+    def _transition(self, edge_index):
+        edge = self.graph.edge(edge_index)
+        state = self.codec.unpack(self.graph.state_key(edge.src))
+        choice = dict(zip(self.model.choice_names, edge.condition))
+        events = self.model.transition_events(state, choice)
+        next_state = self.model.step(state, choice)
+        advanced = any(e[0] == "pipe_advance" for e in events)
+        return events, state["mem"], bool(next_state["st_pend"]), advanced
+
+
 @pytest.fixture(scope="module")
 def baseline_traces(control, graph, tours):
     """The pre-memo sequential path, used as the identity reference."""
-    return VectorGenerator(
-        control, graph, seed=11, memoize=False
-    ).generate(tours)
+    return PreMemoVectorGenerator(control, graph, seed=11).generate(tours)
 
 
 def dumps(trace_set):
@@ -146,6 +163,19 @@ class TestVectorIdentity:
             tours, jobs=jobs
         )
         assert dumps(parallel) == dumps(baseline_traces)
+
+    def test_transient_pool_is_shut_down_and_releases_generator(
+        self, control, graph, tours
+    ):
+        """Without ``pool=``, jobs>1 runs on a transient WorkerPool: once
+        ``generate`` returns its workers are gone and the generator (graph,
+        memo) is no longer held by the fork-inheritance global."""
+        from repro.vectors import generator as generator_mod
+
+        before = set(multiprocessing.active_children())
+        VectorGenerator(control, graph, seed=11).generate(tours, jobs=2)
+        assert set(multiprocessing.active_children()) <= before
+        assert generator_mod._PARALLEL_GENERATOR is None
 
     def test_jobs_exceeding_tours_ok(self, control, graph, tours, baseline_traces):
         parallel = VectorGenerator(control, graph, seed=11).generate(

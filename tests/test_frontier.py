@@ -233,14 +233,15 @@ class TestSegmentLifetime:
         assert graph.to_json() == golden.to_json()
         _assert_no_leak(before)
 
-    def test_legacy_fault_path_leaks_nothing(self):
-        """Fault-plan runs use the legacy pickled-shard dispatch; they
-        must not create (let alone leak) any segment either."""
+    def test_fault_plan_kill_leaks_nothing(self):
+        """A scripted FaultPlan kill strikes a packed span (wave 4 of
+        fill_words=1 holds 297 states: 4 spans at jobs=2); the killed
+        worker's wave must not leak its segment."""
         before = _shm_segments()
         model = build_pp_control_model(PPModelConfig(fill_words=1))
         graph, stats = enumerate_states_parallel(
             model, jobs=2, retry=FAST_RETRY,
-            faults=FaultPlan(kill_shard=(2, 1), kill_attempts=1),
+            faults=FaultPlan(kill_shard=(4, 1), kill_attempts=1),
         )
         assert stats.shards_retried >= 1
         _assert_no_leak(before)

@@ -1,7 +1,9 @@
 """The compiled transition kernel: bit-identity, soundness, metrics.
 
-The golden property: ``kernel="compiled"`` and ``kernel="interpreted"``
-produce byte-identical state graphs -- same states, same ids, same edges,
+The golden property: the compiled kernel (the engines' default,
+``kernel=None``) and the :class:`InterpretedKernel` reference oracle
+(injected as ``kernel=InterpretedKernel(model)``) produce byte-identical
+state graphs -- same states, same ids, same edges,
 same condition tuples -- on every model, at every job count, in both
 condition-recording modes, and across checkpoint/resume (a checkpoint
 written by one kernel resumes under the other).  The property tests
@@ -18,7 +20,6 @@ import zlib
 import pytest
 
 from repro.enumeration import (
-    KERNEL_MODES,
     CompiledKernel,
     InterpretedKernel,
     compile_model,
@@ -110,15 +111,15 @@ class TestRandomModelBitIdentity:
     @pytest.mark.parametrize("seed", range(12))
     def test_graphs_identical(self, seed):
         model = random_model(seed)
-        interpreted, _ = enumerate_states(model, kernel="interpreted")
-        compiled, _ = enumerate_states(model, kernel="compiled")
+        interpreted, _ = enumerate_states(model, kernel=InterpretedKernel(model))
+        compiled, _ = enumerate_states(model)
         assert compiled.to_json() == interpreted.to_json()
 
     @pytest.mark.parametrize("seed", range(12))
     def test_guard_heavy_graphs_identical(self, seed):
         model = random_model(seed, guard_heavy=True)
-        interpreted, _ = enumerate_states(model, kernel="interpreted")
-        compiled, _ = enumerate_states(model, kernel="compiled")
+        interpreted, _ = enumerate_states(model, kernel=InterpretedKernel(model))
+        compiled, _ = enumerate_states(model)
         assert compiled.to_json() == interpreted.to_json()
 
     @pytest.mark.parametrize("seed", [0, 3, 7])
@@ -126,7 +127,7 @@ class TestRandomModelBitIdentity:
         """Not just the final graph: every expansion row matches exactly
         (successor keys, condition tuples, and their order)."""
         model = random_model(seed, guard_heavy=True)
-        graph, _ = enumerate_states(model, kernel="interpreted")
+        graph, _ = enumerate_states(model, kernel=InterpretedKernel(model))
         interp = InterpretedKernel(model)
         comp = compile_model(model)
         for state_id in range(graph.num_states):
@@ -155,10 +156,11 @@ class TestRandomModelBitIdentity:
     def test_record_modes_identical(self, record_all):
         model = random_model(99)
         interpreted, _ = enumerate_states(
-            model, record_all_conditions=record_all, kernel="interpreted"
+            model, record_all_conditions=record_all,
+            kernel=InterpretedKernel(model),
         )
         compiled, _ = enumerate_states(
-            model, record_all_conditions=record_all, kernel="compiled"
+            model, record_all_conditions=record_all
         )
         assert compiled.to_json() == interpreted.to_json()
 
@@ -170,26 +172,26 @@ class TestRandomModelBitIdentity:
 
 @pytest.fixture(scope="module")
 def pp_golden():
-    graph, _ = enumerate_states(small_model(), kernel="interpreted")
+    model = small_model()
+    graph, _ = enumerate_states(model, kernel=InterpretedKernel(model))
     return graph.to_json()
 
 
 class TestPPGolden:
     @pytest.mark.parametrize("jobs", [1, 4])
     def test_compiled_matches_interpreted(self, pp_golden, jobs):
-        graph, _ = enumerate_states_parallel(
-            small_model(), jobs=jobs, kernel="compiled"
-        )
+        graph, _ = enumerate_states_parallel(small_model(), jobs=jobs)
         assert graph.to_json() == pp_golden
 
     @pytest.mark.parametrize("record_all", [False, True])
     def test_record_modes(self, record_all):
+        model = small_model()
         interpreted, _ = enumerate_states(
-            small_model(), record_all_conditions=record_all,
-            kernel="interpreted",
+            model, record_all_conditions=record_all,
+            kernel=InterpretedKernel(model),
         )
         compiled, _ = enumerate_states(
-            small_model(), record_all_conditions=record_all, kernel="compiled"
+            small_model(), record_all_conditions=record_all
         )
         assert compiled.to_json() == interpreted.to_json()
 
@@ -199,14 +201,15 @@ class TestPPGolden:
         """Checkpoints are kernel-interchangeable: interrupt an interpreted
         run, resume compiled (and the reverse), byte-compare."""
         checkpoint = CheckpointConfig(tmp_path, every_waves=1)
+        model = small_model()
         with pytest.raises(KeyboardInterrupt):
             enumerate_states(
-                small_model(), checkpoint=checkpoint,
-                faults=FaultPlan(sigint_after_wave=3), kernel="interpreted",
+                model, checkpoint=checkpoint,
+                faults=FaultPlan(sigint_after_wave=3),
+                kernel=InterpretedKernel(model),
             )
         graph, stats = enumerate_states(
             small_model(), checkpoint=checkpoint, resume=True,
-            kernel="compiled",
         )
         assert graph.to_json() == pp_golden
         assert stats.resumed
@@ -218,11 +221,12 @@ class TestPPGolden:
         with pytest.raises(KeyboardInterrupt):
             enumerate_states(
                 small_model(), checkpoint=checkpoint,
-                faults=FaultPlan(sigint_after_wave=3), kernel="compiled",
+                faults=FaultPlan(sigint_after_wave=3),
             )
+        model = small_model()
         graph, _ = enumerate_states(
-            small_model(), checkpoint=checkpoint, resume=True,
-            kernel="interpreted",
+            model, checkpoint=checkpoint, resume=True,
+            kernel=InterpretedKernel(model),
         )
         assert graph.to_json() == pp_golden
 
@@ -234,17 +238,17 @@ class TestPPGolden:
 
 class TestKernelResolution:
     def test_unknown_kernel_string_raises(self):
-        with pytest.raises(ValueError, match="unknown kernel"):
-            resolve_kernel(small_model(), "vectorized")
+        # No string selects a kernel, not even the former mode names.
+        for name in ("vectorized", "compiled", "interpreted"):
+            with pytest.raises(ValueError, match="unknown kernel"):
+                resolve_kernel(small_model(), name)
         with pytest.raises(ValueError, match="unknown kernel"):
             enumerate_states(small_model(), kernel="bogus")
 
     def test_default_and_none_compile(self):
         model = small_model()
         assert resolve_kernel(model).kind == "compiled"
-        assert resolve_kernel(model, None).kind == "compiled"
-        assert resolve_kernel(model, "interpreted").kind == "interpreted"
-        assert tuple(KERNEL_MODES) == ("compiled", "interpreted")
+        assert resolve_kernel(model, None) is compile_model(model)
 
     def test_kernel_instances_pass_through(self):
         model = small_model()
@@ -260,11 +264,11 @@ class TestKernelResolution:
 
     def test_memo_reused_across_runs_and_record_modes(self):
         model = small_model()
-        first, _ = enumerate_states(model, kernel="compiled")
+        first, _ = enumerate_states(model)
         kern = compile_model(model)
         assert kern.memo_hits == 0
         assert kern.memo_entries == first.num_states
-        enumerate_states(model, record_all_conditions=True, kernel="compiled")
+        enumerate_states(model, record_all_conditions=True)
         assert kern.memo_hits >= first.num_states
 
     def test_memo_can_be_disabled(self):
@@ -272,14 +276,14 @@ class TestKernelResolution:
         kern = CompiledKernel(model, memo=False)
         graph, _ = enumerate_states(model, kernel=kern)
         assert kern.memo_entries == 0
-        reference, _ = enumerate_states(model, kernel="interpreted")
+        reference, _ = enumerate_states(model, kernel=InterpretedKernel(model))
         assert graph.to_json() == reference.to_json()
 
     def test_choice_tables_are_few(self):
         # The whole point: table count is bounded by guard signatures
         # (<= 2^guarded), not by state count.
         model = small_model()
-        enumerate_states(model, kernel="compiled")
+        enumerate_states(model)
         kern = compile_model(model)
         guarded = sum(1 for c in model.choices if c.guard is not None)
         assert 0 < kern.tables.num_tables <= 2 ** guarded
@@ -304,12 +308,12 @@ class TestReducedValidationSoundness:
     def test_out_of_domain_raises_model_error(self):
         model = _model_with_bug(lambda s, c: {"q": s["q"], "n": 99})
         with pytest.raises(ModelError, match="out-of-domain"):
-            enumerate_states(model, kernel="compiled")
+            enumerate_states(model)
 
     def test_missing_variable_raises_model_error(self):
         model = _model_with_bug(lambda s, c: {"q": s["q"]})
         with pytest.raises(ModelError, match="did not assign"):
-            enumerate_states(model, kernel="compiled")
+            enumerate_states(model)
 
     def test_first_sight_catches_systematic_extra_variable(self):
         # An undeclared extra var on *every* transition is caught by the
@@ -318,7 +322,7 @@ class TestReducedValidationSoundness:
             lambda s, c: {"q": s["q"], "n": s["n"], "oops": 1}
         )
         with pytest.raises(ModelError, match="undeclared"):
-            enumerate_states(model, kernel="compiled")
+            enumerate_states(model)
 
     def test_strict_mode_catches_conditional_extra_variable(self):
         # The one genuinely relaxed class: an extra var emitted only from
@@ -331,8 +335,9 @@ class TestReducedValidationSoundness:
                 nxt["oops"] = 1
             return nxt
 
+        reference = InterpretedKernel(_model_with_bug(next_state))
         with pytest.raises(ModelError, match="undeclared"):
-            enumerate_states(_model_with_bug(next_state), kernel="interpreted")
+            enumerate_states(reference.model, kernel=reference)
         strict = CompiledKernel(_model_with_bug(next_state), strict=True)
         with pytest.raises(ModelError, match="undeclared"):
             enumerate_states(strict.model, kernel=strict)
@@ -354,7 +359,7 @@ class TestReducedValidationSoundness:
         model = random_model(42)
         strict = CompiledKernel(model, strict=True)
         graph, _ = enumerate_states(model, kernel=strict)
-        reference, _ = enumerate_states(model, kernel="interpreted")
+        reference, _ = enumerate_states(model, kernel=InterpretedKernel(model))
         assert graph.to_json() == reference.to_json()
 
 
@@ -376,9 +381,10 @@ def _counter_totals(observer, prefix="enum."):
 class TestKernelMetrics:
     def test_enum_totals_identical_across_kernels(self):
         interpreted_obs, compiled_obs = Observer(), Observer()
-        enumerate_states(small_model(), obs=interpreted_obs,
-                         kernel="interpreted")
-        enumerate_states(small_model(), obs=compiled_obs, kernel="compiled")
+        model = small_model()
+        enumerate_states(model, obs=interpreted_obs,
+                         kernel=InterpretedKernel(model))
+        enumerate_states(small_model(), obs=compiled_obs)
         totals = _counter_totals(interpreted_obs)
         assert totals
         assert _counter_totals(compiled_obs) == totals
@@ -386,7 +392,7 @@ class TestKernelMetrics:
     def test_kernel_counters_emitted(self):
         obs = Observer()
         model = small_model()
-        graph, _ = enumerate_states(model, obs=obs, kernel="compiled")
+        graph, _ = enumerate_states(model, obs=obs)
         metrics = obs.metrics
         assert metrics.total("enum.kernel.expansions") == graph.num_states
         stats = metrics.histogram_stats("enum.kernel.compile_seconds")
@@ -396,15 +402,16 @@ class TestKernelMetrics:
         # Kernels are cached across runs; each run must report only its
         # own delta, or aggregated reports double-count.
         model = small_model()
-        enumerate_states(model, kernel="compiled")  # warm the memo
+        enumerate_states(model)  # warm the memo
         obs = Observer()
-        graph, _ = enumerate_states(model, obs=obs, kernel="compiled")
+        graph, _ = enumerate_states(model, obs=obs)
         assert obs.metrics.total("enum.kernel.memo_hits") == graph.num_states
         assert obs.metrics.total("enum.kernel.expansions") == 0
 
     def test_interpreted_emits_no_kernel_counters(self):
         obs = Observer()
-        enumerate_states(small_model(), obs=obs, kernel="interpreted")
+        model = small_model()
+        enumerate_states(model, obs=obs, kernel=InterpretedKernel(model))
         kernel_counters = [
             name for name in obs.metrics.counter_names()
             if name.startswith("enum.kernel.")
@@ -414,6 +421,6 @@ class TestKernelMetrics:
     def test_parallel_workers_report_kernel_counters(self):
         obs = Observer()
         graph, _ = enumerate_states_parallel(
-            small_model(), jobs=4, obs=obs, kernel="compiled"
+            small_model(), jobs=4, obs=obs
         )
         assert obs.metrics.total("enum.kernel.expansions") == graph.num_states

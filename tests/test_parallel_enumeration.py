@@ -11,10 +11,12 @@ import pytest
 
 from repro.enumeration import (
     EnumerationError,
+    InterpretedKernel,
     InvariantViolation,
     enumerate_states,
     enumerate_states_parallel,
 )
+from repro.obs import Observer
 from repro.pp.fsm_model import PPModelConfig, build_pp_control_model
 from repro.smurphi import BoolType, ChoicePoint, RangeType, StateVar, SyncModel
 
@@ -48,6 +50,23 @@ class TestGoldenDeterminism:
     def test_parallel_matches_sequential(self, pp_model, sequential_json, jobs):
         graph, _ = enumerate_states_parallel(pp_model, jobs=jobs)
         assert graph.to_json() == sequential_json
+
+    def test_unpackable_kernel_expands_every_wave_in_process(
+        self, pp_model, sequential_json
+    ):
+        """The interpreted kernel has no ``expand_masked``, so it cannot
+        pack a wave: at jobs=2 every wave, the large ones included,
+        expands in the coordinator and no worker is ever forked."""
+        obs = Observer()
+        graph, _ = enumerate_states_parallel(
+            pp_model, jobs=2, obs=obs, kernel=InterpretedKernel(pp_model)
+        )
+        assert graph.to_json() == sequential_json
+        assert obs.metrics.total("enum.pool.spawns") == 0
+        # Control: the compiled kernel does dispatch this model's waves.
+        compiled_obs = Observer()
+        enumerate_states_parallel(pp_model, jobs=2, obs=compiled_obs)
+        assert compiled_obs.metrics.total("enum.pool.spawns") > 0
 
     def test_parallel_all_conditions_byte_identical(self, pp_model):
         sequential, _ = enumerate_states(pp_model, record_all_conditions=True)

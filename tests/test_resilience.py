@@ -205,10 +205,14 @@ class TestGoldenResume:
 
 
 class TestWorkerCrashRecovery:
+    # Faults strike packed spans, which only waves of at least
+    # DISPATCH_MIN_STATES states get: wave 4 of fill_words=1 holds 297
+    # states, split into 4 spans at jobs=2, so (4, 1) is its second span.
+
     def test_killed_worker_is_retried(self, golden_json):
         graph, stats = enumerate_states_parallel(
             small_model(), jobs=2, retry=FAST_RETRY,
-            faults=FaultPlan(kill_shard=(2, 1), kill_attempts=1),
+            faults=FaultPlan(kill_shard=(4, 1), kill_attempts=1),
         )
         assert graph.to_json() == golden_json
         assert stats.shards_retried > 0
@@ -220,7 +224,7 @@ class TestWorkerCrashRecovery:
             small_model(), jobs=2,
             retry=RetryPolicy(max_retries=1, backoff_seconds=0.01,
                               shard_timeout=30.0),
-            faults=FaultPlan(kill_shard=(2, 1), kill_attempts=99),
+            faults=FaultPlan(kill_shard=(4, 1), kill_attempts=99),
         )
         assert graph.to_json() == golden_json
         assert stats.degraded
@@ -231,7 +235,7 @@ class TestWorkerCrashRecovery:
             small_model(), jobs=2,
             retry=RetryPolicy(max_retries=2, backoff_seconds=0.01,
                               shard_timeout=0.5),
-            faults=FaultPlan(slow_shard=(2, 1), slow_seconds=30.0,
+            faults=FaultPlan(slow_shard=(4, 1), slow_seconds=30.0,
                              slow_attempts=1),
         )
         assert graph.to_json() == golden_json

@@ -519,6 +519,37 @@ class TestChaosDaemonKill:
             second.stop()
 
 
+class TestJournalCompatibility:
+    def test_record_with_retired_kernel_param_replays_to_done(
+        self, daemon_dir, golden_json
+    ):
+        """Journals written while jobs still carried a ``kernel`` param
+        replay unchanged: replay rebuilds the job without re-normalizing
+        its params and the runners never read the retired key."""
+        params = {
+            "fill_words": 1, "extra_pipe_stages": 0, "kernel": "compiled",
+            "tag": None, "chaos": None, "record_all_conditions": False,
+        }
+        job_id = job_key("enumerate", params)
+        daemon_dir.mkdir(parents=True)
+        journal = JobJournal(daemon_dir / "journal.jsonl")
+        journal.append("submitted", job_id, job={
+            "id": job_id, "kind": "enumerate", "params": params,
+            "priority": 0, "budget": None, "submitted_at": time.time(),
+        })
+        journal.close()
+
+        daemon = Daemon(daemon_dir, "--workers", "1")
+        try:
+            final = daemon.wait_job(job_id)
+            assert final["state"] == "done"
+            graph = Path(final["result"]["graph_path"]).read_text()
+            assert graph == golden_json
+            assert daemon.sigterm_and_wait() == 0
+        finally:
+            daemon.stop()
+
+
 class TestChaosDedup:
     def test_concurrent_identical_submissions_build_once(self, daemon_dir):
         """4 clients, same config -> one job, one artifact-cache build."""
